@@ -12,6 +12,10 @@ queue on every call, so templates are installed before any lookup.
 from __future__ import annotations
 
 _LAZY: list = []
+#: registrations of *native* simulation templates, drained only when a
+#: model is first lowered to C, so providing one never makes code
+#: generation (or a run with the native path off) import ``repro.native``
+_LAZY_NATIVE: list = []
 
 
 def register_lazy(fn) -> None:
@@ -20,7 +24,19 @@ def register_lazy(fn) -> None:
     _LAZY.append(fn)
 
 
+def register_native_lazy(fn) -> None:
+    """Queue a zero-argument native-template registration (drained by
+    :func:`repro.native.templates.ensure_installed`)."""
+    _LAZY_NATIVE.append(fn)
+
+
 def drain() -> None:
     """Run every queued registration (called by ``default_registry``)."""
     while _LAZY:
         _LAZY.pop(0)()
+
+
+def drain_native() -> None:
+    """Run every queued native-template registration."""
+    while _LAZY_NATIVE:
+        _LAZY_NATIVE.pop(0)()

@@ -59,7 +59,10 @@ class SimulationOptions:
     #: compile the model to a native C extension and run the step loop
     #: there: ``True`` forces it, ``False`` disables it, ``"auto"``
     #: (default) engages only when the run is big enough to amortize the
-    #: compile/dlopen cost.  ``$REPRO_NATIVE`` (off/on/auto) overrides.
+    #: compile/dlopen cost, ``"reuse"`` binds whenever the artifact is
+    #: already built and otherwise runs on Python while a background
+    #: build makes it (never waits for ``cc``; the PIL plant's policy).
+    #: ``$REPRO_NATIVE`` (off/on/auto) overrides.
     native: Union[bool, str] = "auto"
 
     def __post_init__(self) -> None:
@@ -67,8 +70,8 @@ class SimulationOptions:
             raise ValueError(f"unknown solver '{self.solver}'")
         if self.t_final <= 0 or self.dt <= 0:
             raise ValueError("dt and t_final must be positive")
-        if self.native not in (True, False, "auto"):
-            raise ValueError("native must be True, False or 'auto'")
+        if self.native not in (True, False, "auto", "reuse"):
+            raise ValueError("native must be True, False, 'auto' or 'reuse'")
 
 
 #: minimum estimated block-steps (steps x scheduled blocks) before
@@ -251,7 +254,7 @@ class Simulator:
         take over the step loop — or record why not and keep the Python
         paths untouched.  The fallback ladder: disabled ->
         below_auto_threshold -> plan_refused -> toolchain_missing ->
-        compile_error."""
+        compile_pending (``"reuse"`` only) -> compile_error."""
         mode = self._native_mode()
         if mode is False:
             self._native_fallback("disabled")
@@ -274,6 +277,7 @@ class Simulator:
             ensure_compiled,
             find_cc,
             generate_program,
+            reuse_compiled,
         )
         from .kernels import KernelPlanError, plan_kernels
 
@@ -291,7 +295,13 @@ class Simulator:
                                   "no C compiler on PATH (cc/gcc/clang)")
             return
         try:
-            so_path = ensure_compiled(program.source, doc_hash_for(self))
+            if mode == "reuse":
+                so_path = reuse_compiled(program.source, doc_hash_for(self))
+                if so_path is None:
+                    self._native_fallback("compile_pending")
+                    return
+            else:
+                so_path = ensure_compiled(program.source, doc_hash_for(self))
         except ToolchainError as exc:
             self._native_fallback("compile_error", str(exc))
             return

@@ -16,6 +16,7 @@ format, only declarative content persists.
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 from typing import Any, Callable, Optional, Type
@@ -144,6 +145,60 @@ def load_model(path: str) -> Model:
     """Read a diagram back from a JSON model file."""
     with open(path) as f:
         return model_from_dict(json.load(f))
+
+
+# ---------------------------------------------------------------------------
+# content hashing
+# ---------------------------------------------------------------------------
+def canonical_model_doc(model_or_doc) -> dict:
+    """The model document in canonical form for hashing and rebuilding.
+
+    Blocks are sorted by name and data connections sorted element-wise —
+    neither order can influence execution (the compiler re-sorts blocks
+    deterministically by data dependency + name, and input maps are keyed
+    by port).  Event-connection order is **kept**: multiple function-call
+    targets on one port dispatch in wiring order, so reordering would
+    change ISR execution order and the hash must distinguish it.
+    Subsystem interiors are canonicalised recursively.
+    """
+    doc = model_or_doc if isinstance(model_or_doc, dict) else model_to_dict(model_or_doc)
+    blocks = []
+    for node in sorted(doc["blocks"], key=lambda n: n["name"]):
+        params = node["params"]
+        if "inner" in params and isinstance(params["inner"], dict):
+            params = dict(params)
+            params["inner"] = canonical_model_doc(params["inner"])
+        blocks.append({"type": node["type"], "name": node["name"], "params": params})
+    return {
+        "format": doc["format"],
+        "name": doc["name"],
+        "blocks": blocks,
+        "connections": sorted(doc["connections"]),
+        "events": list(doc["events"]),
+    }
+
+
+def model_content_hash(
+    model: Model,
+    dt: Optional[float] = None,
+    solver: Optional[str] = None,
+) -> str:
+    """SHA-256 hex digest of the diagram content (plus dt/solver if given).
+
+    Deterministic across processes and interpreter runs: the payload is
+    the canonical JSON document (sorted keys, sorted blocks/connections),
+    which contains only declarative parameter values — no object ids, no
+    ``repr`` of live instances, no dict iteration order.  Raises
+    :class:`~repro.model.diagnostics.ModelError` for diagrams that hold
+    Python callables (those cannot be content-addressed).
+    """
+    payload = {
+        "doc": canonical_model_doc(model),
+        "dt": dt,
+        "solver": solver,
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from .cache import (
     ensure_compiled,
     find_cc,
     native_cache_stats,
+    reuse_compiled,
+    wait_pending,
 )
 from .emit import (
     TEMPLATE_VERSION,
@@ -49,6 +51,8 @@ __all__ = [
     "find_cc",
     "generate_program",
     "native_cache_stats",
+    "reuse_compiled",
+    "wait_pending",
 ]
 
 #: the fallback-reason taxonomy surfaced on ``kernel_fallback_total``
@@ -57,6 +61,7 @@ FALLBACK_REASONS = (
     "below_auto_threshold",
     "plan_refused",
     "toolchain_missing",
+    "compile_pending",
     "compile_error",
 )
 

@@ -2,9 +2,9 @@
 
 Artifacts are keyed by ``sha256(doc_hash | TU sha | compiler
 fingerprint | template version)`` — the canonical model-document hash
-(:func:`repro.service.model_cache.model_content_hash`, already
-process-stable) guards against semantically different models colliding,
-the TU sha guards against emitter drift for models that cannot be
+(:func:`repro.model.io.model_content_hash`, already process-stable)
+guards against semantically different models colliding, the TU sha
+guards against emitter drift for models that cannot be
 content-addressed, and the compiler fingerprint invalidates artifacts
 across toolchain or architecture changes.  SimServe warm jobs and
 process-pool children therefore ``dlopen`` an existing ``.so`` instead
@@ -15,10 +15,18 @@ Layout under the cache dir (``$REPRO_NATIVE_CACHE`` or
 ``~/.cache/repro-native``): ``<key>.c``, ``<key>.so``, ``<key>.json``
 (stats sidecar).  Writes go through a temp file + ``os.replace`` so
 concurrent processes never observe a half-written artifact.
+
+Builds are single-flight per key within a process: the first caller
+runs ``cc``, later callers wait for it (:func:`ensure_compiled`) or
+return at once (:func:`reuse_compiled`, which starts the build on a
+background thread).  A forked child starts with an empty in-flight
+table, and a build still running when the interpreter exits is
+abandoned (its ``cc`` is killed; the next process starts it again).
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import json
 import os
@@ -110,7 +118,7 @@ def doc_hash_for(sim) -> str:
     """Canonical content hash of the model under its run options, or
     ``""`` when the diagram cannot be content-addressed (live callables
     etc. — the TU sha still keys the artifact then)."""
-    from repro.service.model_cache import model_content_hash
+    from repro.model.io import model_content_hash
 
     try:
         return model_content_hash(
@@ -168,53 +176,209 @@ def native_cache_stats() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# compile
+# compile: single-flight per artifact key
 # ---------------------------------------------------------------------------
-def ensure_compiled(source: str, doc_hash: str) -> str:
-    """Return the path of the compiled ``.so`` for ``source``, compiling
-    at most once per (model, toolchain) across processes."""
-    cc = find_cc()
-    if cc is None:
-        raise ToolchainError("no C compiler on PATH (cc/gcc/clang)")
-    fp = compiler_fingerprint(cc)
-    if fp is None:
-        raise ToolchainError(f"compiler '{cc}' did not report a version")
-    tu_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    key = artifact_key(doc_hash, tu_sha, fp)
-    d = cache_dir()
-    so_path = os.path.join(d, f"{key}.so")
-    if os.path.exists(so_path):
-        _count("hits")
-        return so_path
-    _count("misses")
-    c_path = os.path.join(d, f"{key}.c")
-    _atomic_write(c_path, source)
-    t0 = perf_counter()
-    fd, tmp_so = tempfile.mkstemp(suffix=".so.tmp", dir=d)
-    os.close(fd)
-    try:
-        proc = subprocess.run(
-            [cc, *CFLAGS, "-o", tmp_so, c_path, "-lm"],
-            capture_output=True, text=True, timeout=120,
-        )
-        if proc.returncode != 0:
-            _count("errors")
-            tail = (proc.stderr or proc.stdout).strip()[-2000:]
-            raise ToolchainError(f"cc failed ({proc.returncode}): {tail}")
-        os.replace(tmp_so, so_path)
-    finally:
+class _Build:
+    """One in-progress compile; followers wait on ``done``."""
+
+    __slots__ = ("done", "error")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.error: Optional[str] = None
+
+
+_builds_lock = threading.Lock()
+#: artifact ``.so`` path -> the build running in this process
+_inflight: dict[str, _Build] = {}
+#: artifact ``.so`` path -> why its build failed (so ``reuse`` does not
+#: retry a broken compile for every simulator)
+_failed: dict[str, str] = {}
+#: running ``cc`` processes -> their temp output, killed at exit
+_procs: dict = {}
+
+
+def _reset_after_fork() -> None:
+    """A forked child inherits the in-flight table but not the threads
+    building its entries (nor the release of a lock one of them held):
+    start the child with fresh locks and nothing in flight."""
+    global _lock, _stats_lock, _builds_lock, _inflight, _procs
+    _lock = threading.Lock()
+    _stats_lock = threading.Lock()
+    _builds_lock = threading.Lock()
+    _inflight = {}
+    _procs = {}
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
+
+
+@atexit.register
+def _abandon_builds() -> None:
+    with _builds_lock:
+        procs = list(_procs.items())
+    for proc, tmp_so in procs:
+        try:
+            proc.kill()
+            proc.wait(timeout=5)
+        except (OSError, subprocess.TimeoutExpired):
+            pass  # already gone, or stuck: nothing more to do at exit
         if os.path.exists(tmp_so):
             os.unlink(tmp_so)
-    compile_s = perf_counter() - t0
-    _count("", compile_s=compile_s)
-    _atomic_write(os.path.join(d, f"{key}.json"), json.dumps({
-        "doc_hash": doc_hash,
-        "tu_sha": tu_sha,
-        "fingerprint": fp,
-        "compile_s": compile_s,
-        "template": TEMPLATE_VERSION,
-    }, indent=2, sort_keys=True))
-    return so_path
+
+
+class _Artifact:
+    """Where the artifact for one TU lives and how to build it."""
+
+    def __init__(self, source: str, doc_hash: str):
+        cc = find_cc()
+        if cc is None:
+            raise ToolchainError("no C compiler on PATH (cc/gcc/clang)")
+        fp = compiler_fingerprint(cc)
+        if fp is None:
+            raise ToolchainError(f"compiler '{cc}' did not report a version")
+        self.cc = cc
+        self.fingerprint = fp
+        self.source = source
+        self.doc_hash = doc_hash
+        self.tu_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
+        self.key = artifact_key(doc_hash, self.tu_sha, fp)
+        self.dir = cache_dir()
+        self.so_path = os.path.join(self.dir, f"{self.key}.so")
+
+
+def _claim(art: _Artifact) -> tuple[Optional[_Build], bool]:
+    """``(build, leader)``; ``(None, False)`` when the artifact exists."""
+    with _builds_lock:
+        build = _inflight.get(art.so_path)
+        if build is not None:
+            return build, False
+        if os.path.exists(art.so_path):
+            return None, False
+        build = _inflight[art.so_path] = _Build()
+        _failed.pop(art.so_path, None)
+        return build, True
+
+
+def _run_cc(argv: list, tmp_so: str) -> tuple[int, str]:
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    with _builds_lock:
+        _procs[proc] = tmp_so
+    try:
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            out, err = proc.communicate()
+    finally:
+        with _builds_lock:
+            _procs.pop(proc, None)
+    return proc.returncode, err or out
+
+
+def _build(art: _Artifact, build: _Build) -> None:
+    """The leader's compile; always releases the followers."""
+    try:
+        _count("misses")
+        c_path = os.path.join(art.dir, f"{art.key}.c")
+        _atomic_write(c_path, art.source)
+        t0 = perf_counter()
+        fd, tmp_so = tempfile.mkstemp(suffix=".so.tmp", dir=art.dir)
+        os.close(fd)
+        try:
+            rc, out = _run_cc([art.cc, *CFLAGS, "-o", tmp_so, c_path, "-lm"],
+                              tmp_so)
+            if rc != 0:
+                _count("errors")
+                raise ToolchainError(f"cc failed ({rc}): {out.strip()[-2000:]}")
+            os.replace(tmp_so, art.so_path)
+        finally:
+            if os.path.exists(tmp_so):
+                os.unlink(tmp_so)
+        compile_s = perf_counter() - t0
+        _count("", compile_s=compile_s)
+        _atomic_write(os.path.join(art.dir, f"{art.key}.json"), json.dumps({
+            "doc_hash": art.doc_hash,
+            "tu_sha": art.tu_sha,
+            "fingerprint": art.fingerprint,
+            "compile_s": compile_s,
+            "template": TEMPLATE_VERSION,
+        }, indent=2, sort_keys=True))
+    except BaseException as exc:
+        build.error = str(exc) or type(exc).__name__
+        raise
+    finally:
+        with _builds_lock:
+            if build.error is not None:
+                _failed[art.so_path] = build.error
+            _inflight.pop(art.so_path, None)
+        build.done.set()
+
+
+def ensure_compiled(source: str, doc_hash: str) -> str:
+    """Return the path of the compiled ``.so`` for ``source``, compiling
+    at most once per (model, toolchain) across processes and threads —
+    concurrent callers for one key wait for the first one's ``cc``."""
+    art = _Artifact(source, doc_hash)
+    build, leader = _claim(art)
+    if build is None:
+        _count("hits")
+    elif leader:
+        _build(art, build)
+    else:
+        build.done.wait()
+        if build.error is not None:
+            raise ToolchainError(build.error)
+        _count("hits")
+    return art.so_path
+
+
+def reuse_compiled(source: str, doc_hash: str) -> Optional[str]:
+    """The ``.so`` for ``source`` if it is already built, else ``None``
+    — after making sure a background build of it is running.  Never
+    waits for ``cc``.  Raises :class:`ToolchainError` when there is no
+    toolchain, or when this process already failed to build the key."""
+    art = _Artifact(source, doc_hash)
+    if os.path.exists(art.so_path):
+        _count("hits")
+        return art.so_path
+    with _builds_lock:
+        error = _failed.get(art.so_path)
+        if error is not None and art.so_path not in _inflight:
+            raise ToolchainError(error)
+    build, leader = _claim(art)
+    if build is None:
+        _count("hits")
+        return art.so_path
+    if leader:
+        threading.Thread(
+            target=_build_quietly, args=(art, build), daemon=True,
+            name=f"repro-native-cc-{art.key[:8]}",
+        ).start()
+    return None
+
+
+def _build_quietly(art: _Artifact, build: _Build) -> None:
+    try:
+        _build(art, build)
+    except (ToolchainError, OSError):
+        pass  # recorded in ``_failed``; the next bind reports it
+
+
+def wait_pending(timeout: Optional[float] = None) -> bool:
+    """Block until every build in flight in this process has finished
+    (or ``timeout`` seconds passed); ``True`` when none is left."""
+    deadline = None if timeout is None else perf_counter() + timeout
+    while True:
+        with _builds_lock:
+            builds = list(_inflight.values())
+        if not builds:
+            return True
+        left = None if deadline is None else deadline - perf_counter()
+        if left is not None and left <= 0:
+            return False
+        builds[0].done.wait(left)
 
 
 def _atomic_write(path: str, text: str) -> None:

@@ -6,15 +6,20 @@ output pass over the plan entries (affine rows inline, template blocks
 per block), the pruned minor pass, the rate-guarded update pass, the
 derivative pass, and the fixed-step integrator with the reference
 association order — so a compiled run is bit-identical (atol=0) to the
-reference interpreter.  Exported symbols:
+reference interpreter.
 
-``void nx_bind(double *sigs, double *states, const double *dwork_init)``
-    Borrow the engine's signal/state buffers and load discrete state.
-``void nx_out_major(long long step)`` / ``void nx_finish(long long step)``
+The TU is reentrant: it has no mutable file-scope state.  Every entry
+point takes an ``nx_ctx`` — a struct of pointers to buffers the Python
+executor owns (signals, continuous state, discrete work, integrator
+scratch, held-output slots) — so any number of simulators, on any
+threads, can share one loaded library.  Exported symbols:
+
+``void nx_out_major(const nx_ctx *c, long long step)`` /
+``void nx_finish(const nx_ctx *c, long long step)``
     The two halves of one major step, split where the engine logs
     scopes and runs ``step_hook``.
-``void nx_run(long long start, long long n, double *scope_out,
-double *trace_out)``
+``void nx_run(const nx_ctx *c, long long start, long long n,
+double *scope_out, double *trace_out)``
     The whole-loop executor: ``n`` major steps with scope rows (and
     optionally full signal rows) written per step.
 
@@ -28,12 +33,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.model.block import Block
 from repro.model.kernels import AffineRow, AffineRun, BlockEntry, KernelPlan
 
 #: Bump when emitted C changes shape — part of the disk-cache key, so
 #: stale artifacts from older emitters can never be dlopen'ed.
-TEMPLATE_VERSION = "1"
+TEMPLATE_VERSION = "2"
 
 
 class NativeLoweringError(Exception):
@@ -82,12 +89,14 @@ def _affine_c(row: AffineRow) -> str:
 class BlockEmitter:
     """Per-block emission context handed to native templates."""
 
-    def __init__(self, tu: "_TU", in_sigs, out_sigs, dwork_off, state_off):
+    def __init__(self, tu: "_TU", in_sigs, out_sigs, dwork_off, state_off,
+                 held=None):
         self._tu = tu
         self._in = in_sigs
         self._out = out_sigs
         self._dw = dwork_off  # field -> absolute DW index
         self._x0 = state_off
+        self._held = held  # (slot in the context's H table, length) or None
         self.lines: list[str] = []
 
     def u(self, i: int) -> str:
@@ -107,6 +116,16 @@ class BlockEmitter:
 
     def xd(self, i: int) -> str:
         return f"XD[{self._x0 + i}]"
+
+    def held(self, i: int) -> str:
+        """Slot ``i`` of the block's held-output buffer (see
+        :meth:`~repro.native.templates.NativeTemplate.held`)."""
+        k, n = self._held or (None, 0)
+        if not 0 <= i < n:
+            raise NativeLoweringError(
+                f"held slot {i} outside the block's {n}-slot buffer"
+            )
+        return f"c->H[{k}][{i}]"
 
     def lit(self, v: float) -> str:
         return clit(v)
@@ -145,6 +164,8 @@ class NativeProgram:
     n_dwork: int
     scope_sigs: list[int]
     dwork_init: list[float]
+    #: block-owned float64 buffers the context borrows as ``H[k]``
+    held: list = field(default_factory=list)
 
 
 def _block_chunk(qname, tpl, method, block, em) -> list[str]:
@@ -183,9 +204,10 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
             )
 
     # ---- per-block validation + discrete-state layout --------------------
-    recs: dict[str, tuple] = {}  # qname -> (block, template, dwork_off)
+    recs: dict[str, tuple] = {}  # qname -> (block, template, dwork_off, held)
     n_dwork = 0
     dwork_init: list[float] = []
+    held: list = []
     for entry in plan.entries:
         if isinstance(entry, AffineRun):
             continue
@@ -212,15 +234,27 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
             )
         n_dwork += want
         dwork_init.extend(vals)
-        recs[qname] = (block, tpl, offs)
+        buf = tpl.held(block)
+        slot = None
+        if buf is not None:
+            if not (isinstance(buf, np.ndarray) and buf.dtype == np.float64
+                    and buf.ndim == 1 and buf.flags.c_contiguous):
+                raise NativeLoweringError(
+                    f"held buffer of '{qname}' must be a contiguous 1-D "
+                    "float64 ndarray"
+                )
+            slot = (len(held), buf.size)
+            held.append(buf)
+        recs[qname] = (block, tpl, offs, slot)
 
     tu = _TU()
 
     def emitter(qname) -> BlockEmitter:
-        block, _tpl, offs = recs[qname]
+        block, _tpl, offs, slot = recs[qname]
         in_sigs = tuple(cm.input_map[qname])
         out_sigs = tuple(cm.sig_index[(qname, p)] for p in range(block.n_out))
-        return BlockEmitter(tu, in_sigs, out_sigs, offs, cm.state_offset[qname])
+        return BlockEmitter(tu, in_sigs, out_sigs, offs,
+                            cm.state_offset[qname], slot)
 
     # ---- major output pass ----------------------------------------------
     out_lines: list[str] = []
@@ -229,7 +263,7 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
             rows = [f"  S[{r.out_sig}] = {_affine_c(r)};" for r in entry.rows]
             out_lines += _guarded(entry.divisor, rows)
             continue
-        block, tpl, _offs = recs[entry.qname]
+        block, tpl = recs[entry.qname][:2]
         chunk = _block_chunk(entry.qname, tpl, "outputs", block, emitter(entry.qname))
         out_lines += _guarded(entry.divisor, chunk)
 
@@ -240,7 +274,7 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         if rows is not None:
             minor_lines += [f"  S[{r.out_sig}] = {_affine_c(r)};" for r in rows]
             continue
-        block, tpl, _offs = recs[qname]
+        block, tpl = recs[qname][:2]
         minor_lines += _block_chunk(qname, tpl, "outputs", block, emitter(qname))
 
     # ---- update pass -----------------------------------------------------
@@ -248,7 +282,7 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
     for entry in plan.entries:
         if isinstance(entry, AffineRun):
             continue
-        block, tpl, _offs = recs[entry.qname]
+        block, tpl = recs[entry.qname][:2]
         if type(block).update is Block.update:
             continue
         chunk = _block_chunk(entry.qname, tpl, "update", block, emitter(entry.qname))
@@ -266,7 +300,7 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
             raise NativeLoweringError(
                 f"stateful block '{qname}' is outside the lowered schedule"
             )
-        block, tpl, _offs = rec
+        block, tpl = rec[:2]
         deriv_lines += _block_chunk(qname, tpl, "deriv", block, emitter(qname))
 
     scope_sigs = [idx for _qname, idx in sim._scope_sched]
@@ -276,6 +310,7 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         sim=sim,
         tu=tu,
         n_dwork=n_dwork,
+        n_held=len(held),
         scope_sigs=scope_sigs,
         out_lines=out_lines,
         minor_lines=minor_lines,
@@ -289,11 +324,12 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         n_dwork=n_dwork,
         scope_sigs=scope_sigs,
         dwork_init=dwork_init,
+        held=held,
     )
 
 
-def _render(cm, sim, tu, n_dwork, scope_sigs, out_lines, minor_lines,
-            upd_lines, deriv_lines) -> str:
+def _render(cm, sim, tu, n_dwork, n_held, scope_sigs, out_lines,
+            minor_lines, upd_lines, deriv_lines) -> str:
     opts = sim.options
     n_states = cm.n_states
     n_sigs = cm.n_signals
@@ -312,114 +348,121 @@ def _render(cm, sim, tu, n_dwork, scope_sigs, out_lines, minor_lines,
     w(f"#define NSIG {n_sigs}")
     w(f"#define NSTATE {n_states}")
     w(f"#define NDW {n_dwork}")
+    w(f"#define NHELD {n_held}")
     w("")
-    w("static double *S;")
-    if n_states:
-        w("static double *X;")
-        w(f"static double X0[NSTATE], K1[NSTATE], K2[NSTATE], "
-          f"K3[NSTATE], K4[NSTATE];")
-    w(f"static double DW[{max(1, n_dwork)}];")
+    w("/* Per-instance context.  Every buffer is owned by the caller and only")
+    w(" * borrowed here: the TU keeps no mutable file-scope state, so any")
+    w(" * number of simulators (on any threads) can share one loaded library. */")
+    w("typedef struct {")
+    w("  double *S;   /* signals [NSIG] */")
+    w("  double *X;   /* continuous state [NSTATE] */")
+    w("  double *DW;  /* discrete work [NDW] */")
+    w("  double *W;   /* integrator scratch [5 * NSTATE]: X0 K1 K2 K3 K4 */")
+    w(f"  double *H[{max(1, n_held)}];  /* held outputs, written between steps */")
+    w("} nx_ctx;")
+    w("")
+    w("#define NX_LOCALS \\")
+    w("  double *S = c->S; double *X = c->X; double *DW = c->DW; \\")
+    w("  (void)S; (void)X; (void)DW")
+    w("")
     for aname, values in tu.arrays:
         body = ", ".join(clit(v) for v in values)
         w(f"static const double {aname}[{len(values)}] = {{ {body} }};")
-    w("")
-    w("void nx_bind(double *sigs, double *states, const double *dwork_init)")
+    if tu.arrays:
+        w("")
+    w("static void out_major(const nx_ctx *c, long long step, double t)")
     w("{")
-    w("  S = sigs;")
-    if n_states:
-        w("  X = states;")
-    else:
-        w("  (void)states;")
-    if n_dwork:
-        w("  if (dwork_init) memcpy(DW, dwork_init, sizeof(double) * NDW);")
-    else:
-        w("  (void)dwork_init;")
-    w("}")
-    w("")
-    w("static void out_major(long long step, double t)")
-    w("{")
+    w("  NX_LOCALS;")
     w("  (void)step; (void)t;")
     L.extend(out_lines)
     w("}")
     w("")
-    w("static void out_minor(double t)")
+    w("static void out_minor(const nx_ctx *c, double t)")
     w("{")
+    w("  NX_LOCALS;")
     w("  (void)t;")
     L.extend(minor_lines)
     w("}")
     w("")
-    w("static void upd(long long step, double t)")
+    w("static void upd(const nx_ctx *c, long long step, double t)")
     w("{")
+    w("  NX_LOCALS;")
     w("  (void)step; (void)t;")
     L.extend(upd_lines)
     w("}")
     w("")
     if n_states:
-        w("static void deriv(double t, double *XD)")
+        w("static void deriv(const nx_ctx *c, double t, double *XD)")
         w("{")
+        w("  NX_LOCALS;")
         w("  (void)t;")
         L.extend(deriv_lines)
         w("}")
         w("")
-    w("static void integrate(double t)")
+    w("static void integrate(const nx_ctx *c, double t)")
     w("{")
     if not n_states:
-        w("  (void)t;")
+        w("  (void)c; (void)t;")
     elif opts.solver == "euler":
         w("  int i;")
-        w("  deriv(t, K1);")
+        w("  double *X = c->X, *K1 = c->W + NSTATE;")
+        w("  deriv(c, t, K1);")
         w("  for (i = 0; i < NSTATE; i++) X[i] = X[i] + DT * K1[i];")
     else:
         # classic RK4 in the engine's exact association order (see
         # Simulator._integrate: both its scalar and NumPy forms perform
         # these IEEE operations elementwise)
         w("  int i;")
+        w("  double *X = c->X, *X0 = c->W;")
+        w("  double *K1 = X0 + NSTATE, *K2 = K1 + NSTATE, "
+          "*K3 = K2 + NSTATE, *K4 = K3 + NSTATE;")
         w("  double half_dt = 0.5 * DT;")
         w("  double half = t + half_dt;")
         w("  double sixth = DT / 6.0;")
         w("  for (i = 0; i < NSTATE; i++) X0[i] = X[i];")
-        w("  deriv(t, K1);")
+        w("  deriv(c, t, K1);")
         w("  for (i = 0; i < NSTATE; i++) X[i] = X0[i] + half_dt * K1[i];")
-        w("  out_minor(half);")
-        w("  deriv(half, K2);")
+        w("  out_minor(c, half);")
+        w("  deriv(c, half, K2);")
         w("  for (i = 0; i < NSTATE; i++) X[i] = X0[i] + half_dt * K2[i];")
-        w("  out_minor(half);")
-        w("  deriv(half, K3);")
+        w("  out_minor(c, half);")
+        w("  deriv(c, half, K3);")
         w("  for (i = 0; i < NSTATE; i++) X[i] = X0[i] + DT * K3[i];")
-        w("  out_minor(t + DT);")
-        w("  deriv(t + DT, K4);")
+        w("  out_minor(c, t + DT);")
+        w("  deriv(c, t + DT, K4);")
         w("  for (i = 0; i < NSTATE; i++)")
         w("    X[i] = X0[i] + sixth * (K1[i] + 2.0 * K2[i] + 2.0 * K3[i] + K4[i]);")
     w("}")
     w("")
-    w("void nx_out_major(long long step)")
+    w("void nx_out_major(const nx_ctx *c, long long step)")
     w("{")
-    w("  out_major(step, (double)step * DT);")
+    w("  out_major(c, step, (double)step * DT);")
     w("}")
     w("")
-    w("void nx_finish(long long step)")
+    w("void nx_finish(const nx_ctx *c, long long step)")
     w("{")
     w("  double t = (double)step * DT;")
-    w("  upd(step, t);")
-    w("  integrate(t);")
+    w("  upd(c, step, t);")
+    w("  integrate(c, t);")
     w("}")
     w("")
-    w("void nx_run(long long start, long long n, double *scope_out, "
-      "double *trace_out)")
+    w("void nx_run(const nx_ctx *c, long long start, long long n, "
+      "double *scope_out, double *trace_out)")
     w("{")
+    w("  const double *S = c->S;")
     w("  long long i;")
     w("  for (i = 0; i < n; i++) {")
     w("    long long step = start + i;")
     w("    double t = (double)step * DT;")
-    w("    out_major(step, t);")
+    w("    out_major(c, step, t);")
     for j, idx in enumerate(scope_sigs):
         w(f"    scope_out[i * {len(scope_sigs)} + {j}] = S[{idx}];")
     if not scope_sigs:
         w("    (void)scope_out;")
     w("    if (trace_out) memcpy(trace_out + i * NSIG, S, "
       "sizeof(double) * NSIG);")
-    w("    upd(step, t);")
-    w("    integrate(t);")
+    w("    upd(c, step, t);")
+    w("    integrate(c, t);")
     w("  }")
     w("}")
     return "\n".join(L) + "\n"

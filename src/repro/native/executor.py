@@ -1,101 +1,67 @@
 """Loading and driving a compiled native step-loop extension.
 
-The primary loader is cffi (``FFI.dlopen`` against the four ``nx_*``
-symbols); when cffi is absent the plain-stdlib ctypes fallback loads
-the same shared object.  Either way the extension *borrows* the
-engine's numpy buffers — ``nx_bind`` receives raw ``double*`` views of
-``sim.signals`` / ``sim.x``, so every value the C loop writes is
-immediately visible to Python (co-simulation taps, scope logging, the
-step hook) without copies.
+The generated C keeps no mutable file-scope state (see
+:mod:`repro.native.emit`): each entry point takes an ``nx_ctx`` whose
+buffers Python owns.  A :class:`NativePath` builds one context per
+simulator from
+
+* the engine's signal and state vectors, *borrowed* — every value the
+  C loop writes is immediately visible to Python (co-simulation taps,
+  scope logging, the step hook) without copies;
+* this instance's discrete work and integrator scratch, allocated here;
+* the held-output arrays blocks expose (``NativeProgram.held``),
+  borrowed, so a harness writes actuation into one buffer whichever
+  executor runs the plant.
+
+The loader is plain-stdlib ctypes.  Each artifact is opened once per
+process and its handle shared by every simulator bound to it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import threading
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-_CDEF = """
-void nx_bind(double *sigs, double *states, const double *dwork_init);
-void nx_out_major(long long step);
-void nx_finish(long long step);
-void nx_run(long long start, long long n, double *scope_out,
-            double *trace_out);
-"""
+#: ``nx_ctx`` field order: S, X, DW, W, then the held table H[...]
+_CTX_FIXED = 4
+
+_libs: dict[str, ctypes.CDLL] = {}
+_libs_lock = threading.Lock()
 
 
-class _CffiLib:
-    def __init__(self, so_path: str):
-        from cffi import FFI
-
-        self._ffi = FFI()
-        self._ffi.cdef(_CDEF)
-        self._lib = self._ffi.dlopen(so_path)
-
-    def _ptr(self, arr: Optional[np.ndarray]):
-        if arr is None:
-            return self._ffi.NULL
-        return self._ffi.cast("double *", self._ffi.from_buffer(arr))
-
-    def bind(self, sigs, states, dwork_init):
-        self._lib.nx_bind(
-            self._ptr(sigs), self._ptr(states), self._ptr(dwork_init)
-        )
-
-    def out_major(self, step: int):
-        self._lib.nx_out_major(step)
-
-    def finish(self, step: int):
-        self._lib.nx_finish(step)
-
-    def run(self, start: int, n: int, scope_out, trace_out):
-        self._lib.nx_run(
-            start, n, self._ptr(scope_out), self._ptr(trace_out)
-        )
+def load_library(so_path: str) -> ctypes.CDLL:
+    """The process-wide handle for ``so_path``, opened on first use.
+    Artifact paths are content-addressed, so one path is one TU."""
+    with _libs_lock:
+        lib = _libs.get(so_path)
+        if lib is None:
+            lib = ctypes.CDLL(so_path)
+            vp, ll = ctypes.c_void_p, ctypes.c_longlong
+            for name, argtypes in (
+                ("nx_out_major", [vp, ll]),
+                ("nx_finish", [vp, ll]),
+                ("nx_run", [vp, ll, ll, vp, vp]),
+            ):
+                fn = getattr(lib, name)
+                fn.argtypes = argtypes
+                fn.restype = None
+            _libs[so_path] = lib
+        return lib
 
 
-class _CtypesLib:
-    def __init__(self, so_path: str):
-        lib = ctypes.CDLL(so_path)
-        dp = ctypes.POINTER(ctypes.c_double)
-        lib.nx_bind.argtypes = [dp, dp, dp]
-        lib.nx_bind.restype = None
-        lib.nx_out_major.argtypes = [ctypes.c_longlong]
-        lib.nx_out_major.restype = None
-        lib.nx_finish.argtypes = [ctypes.c_longlong]
-        lib.nx_finish.restype = None
-        lib.nx_run.argtypes = [ctypes.c_longlong, ctypes.c_longlong, dp, dp]
-        lib.nx_run.restype = None
-        self._lib = lib
-        self._dp = dp
-
-    def _ptr(self, arr: Optional[np.ndarray]):
-        if arr is None:
-            return None
-        return arr.ctypes.data_as(self._dp)
-
-    def bind(self, sigs, states, dwork_init):
-        self._lib.nx_bind(
-            self._ptr(sigs), self._ptr(states), self._ptr(dwork_init)
-        )
-
-    def out_major(self, step: int):
-        self._lib.nx_out_major(step)
-
-    def finish(self, step: int):
-        self._lib.nx_finish(step)
-
-    def run(self, start: int, n: int, scope_out, trace_out):
-        self._lib.nx_run(start, n, self._ptr(scope_out), self._ptr(trace_out))
+def _addr(arr: Optional[np.ndarray]) -> Optional[int]:
+    return None if arr is None else arr.ctypes.data
 
 
-def load_library(so_path: str):
-    """cffi when available, ctypes otherwise — identical duck type."""
-    try:
-        return _CffiLib(so_path)
-    except ImportError:
-        return _CtypesLib(so_path)
+def _check_vector(name: str, arr, n: int) -> None:
+    """The C loop indexes ``arr[0..n)`` through a raw pointer."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            and arr.ndim == 1 and arr.flags.c_contiguous and arr.size == n):
+        raise TypeError(f"{name} must be a contiguous float64 vector of {n}")
 
 
 class NativePath:
@@ -108,24 +74,28 @@ class NativePath:
 
     def __init__(self, program, so_path: str, signals: np.ndarray,
                  states: Optional[np.ndarray]):
+        _check_vector("signals", signals, program.n_signals)
+        if program.n_states:
+            _check_vector("states", states, program.n_states)
         self.program = program
         self.so_path = so_path
-        self._lib = load_library(so_path)
-        self._sigs = signals
-        self._states = states if program.n_states else None
-        self._dwork = (
-            np.asarray(program.dwork_init, dtype=np.float64)
-            if program.n_dwork else None
-        )
-        if not isinstance(self._sigs, np.ndarray):
-            raise TypeError("bind requires ndarray signals")
-        self._lib.bind(self._sigs, self._states, self._dwork)
-
-    def out_major(self, step: int) -> None:
-        self._lib.out_major(step)
-
-    def finish(self, step: int) -> None:
-        self._lib.finish(step)
+        #: the process-wide library handle (shared by every context)
+        self.lib = lib = load_library(so_path)
+        dwork = np.array(program.dwork_init or [0.0], dtype=np.float64)
+        work = np.zeros(5 * max(1, program.n_states))
+        held = list(program.held) or [None]
+        #: every buffer the context points into, kept alive with it
+        self._buffers = (signals, states, dwork, work, *held)
+        states = states if program.n_states else None
+        addrs = [_addr(signals), _addr(states), _addr(dwork), _addr(work)]
+        addrs += [_addr(b) for b in held]
+        self._ctx = (ctypes.c_void_p * (_CTX_FIXED + len(held)))(*addrs)
+        ctx = ctypes.addressof(self._ctx)
+        #: ``out_major(step)`` / ``finish(step)``: the two halves of one
+        #: major step, context pre-bound
+        self.out_major = partial(lib.nx_out_major, ctx)
+        self.finish = partial(lib.nx_finish, ctx)
+        self._run = partial(lib.nx_run, ctx)
 
     def run_chunk(self, start: int, n: int, want_trace: bool):
         """Run ``n`` major steps; returns ``(scope_rows, trace_rows)``
@@ -133,5 +103,5 @@ class NativePath:
         ``None`` unless requested)."""
         scope = np.empty((n, max(1, len(self.program.scope_sigs))))
         trace = np.empty((n, self.program.n_signals)) if want_trace else None
-        self._lib.run(start, n, scope, trace)
+        self._run(start, n, _addr(scope), _addr(trace))
         return scope, trace

@@ -18,6 +18,7 @@ Python paths instead of risking divergence.
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 from repro.model.block import Block
@@ -29,11 +30,19 @@ class NativeTemplate:
     ``em`` is the per-block emitter (see ``repro.native.emit``): ``em.u(i)``
     / ``em.y(p)`` are C expressions/lvalues for ports, ``em.dw(field)``
     addresses dwork slots, ``em.x(i)``/``em.xd(i)`` address continuous
-    state and its derivative, ``em.lit(v)`` renders an exact C99 hex
+    state and its derivative, ``em.held(i)`` addresses the block's held
+    slots (see :meth:`held`), ``em.lit(v)`` renders an exact C99 hex
     float literal, and ``em.line(...)`` appends a statement.
     """
 
     def refuse(self, block: Block) -> Optional[str]:
+        return None
+
+    def held(self, block: Block):
+        """A contiguous float64 ndarray the *block* owns and writers
+        outside the diagram update between steps, or ``None``.  The
+        native context borrows it (never copies), so one write reaches
+        every substrate."""
         return None
 
     def dwork(self, block: Block) -> list:
@@ -67,6 +76,18 @@ class NativeTemplate:
 
     def deriv(self, block: Block, em) -> None:
         pass
+
+
+class HeldOutputs(NativeTemplate):
+    """Outputs that hold what a co-simulation harness last wrote into the
+    block's ``held`` array (e.g. :class:`repro.sim.split.ControllerProxy`)."""
+
+    def held(self, b):
+        return b.held
+
+    def outputs(self, b, em):
+        for p in range(b.n_out):
+            em.line(f"{em.y(p)} = {em.held(p)};")
 
 
 class Refuse(NativeTemplate):
@@ -866,6 +887,9 @@ class _TimerIntBlock(NativeTemplate):
 # registration
 # ---------------------------------------------------------------------------
 _installed = False
+#: simulators bind concurrently (SimServe thread workers): registration
+#: must finish before any of them looks a template up
+_install_lock = threading.Lock()
 
 
 def install(reg) -> None:
@@ -954,13 +978,17 @@ def install(reg) -> None:
 
 
 def ensure_installed():
-    """Install the native set on the shared default registry once and
-    return that registry."""
+    """Install the native set on the shared default registry once (plus
+    any native templates block modules queued since) and return that
+    registry."""
     global _installed
+    from repro.codegen import registry_hooks
     from repro.codegen.templates import default_registry
 
     reg = default_registry()
-    if not _installed:
-        install(reg)
-        _installed = True
+    with _install_lock:
+        if not _installed:
+            install(reg)
+            _installed = True
+        registry_hooks.drain_native()
     return reg

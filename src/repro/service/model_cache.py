@@ -28,9 +28,10 @@ Two properties make sharing safe:
 Models that cannot serialise (charts and custom S-functions hold Python
 callables) are *bypassed*: compiled fresh per job, never shared.
 
-The content hash is also a public utility
-(:func:`model_content_hash`): stable across processes (no ``id()`` /
-``repr`` leakage, dict traversal canonicalised), pinned by a subprocess
+The content hash is also a public utility (:func:`model_content_hash`,
+defined beside the model document in :mod:`repro.model.io` and
+re-exported here): stable across processes (no ``id()`` / ``repr``
+leakage, dict traversal canonicalised), pinned by a subprocess
 round-trip test.
 """
 
@@ -46,61 +47,11 @@ from typing import Iterator, Optional, Tuple
 from repro.model.compiled import CompiledModel
 from repro.model.diagnostics import ModelError
 from repro.model.graph import Model
-from repro.model.io import model_from_dict, model_to_dict
-
-
-# ---------------------------------------------------------------------------
-# content hashing
-# ---------------------------------------------------------------------------
-def canonical_model_doc(model_or_doc) -> dict:
-    """The model document in canonical form for hashing and rebuilding.
-
-    Blocks are sorted by name and data connections sorted element-wise —
-    neither order can influence execution (the compiler re-sorts blocks
-    deterministically by data dependency + name, and input maps are keyed
-    by port).  Event-connection order is **kept**: multiple function-call
-    targets on one port dispatch in wiring order, so reordering would
-    change ISR execution order and the hash must distinguish it.
-    Subsystem interiors are canonicalised recursively.
-    """
-    doc = model_or_doc if isinstance(model_or_doc, dict) else model_to_dict(model_or_doc)
-    blocks = []
-    for node in sorted(doc["blocks"], key=lambda n: n["name"]):
-        params = node["params"]
-        if "inner" in params and isinstance(params["inner"], dict):
-            params = dict(params)
-            params["inner"] = canonical_model_doc(params["inner"])
-        blocks.append({"type": node["type"], "name": node["name"], "params": params})
-    return {
-        "format": doc["format"],
-        "name": doc["name"],
-        "blocks": blocks,
-        "connections": sorted(doc["connections"]),
-        "events": list(doc["events"]),
-    }
-
-
-def model_content_hash(
-    model: Model,
-    dt: Optional[float] = None,
-    solver: Optional[str] = None,
-) -> str:
-    """SHA-256 hex digest of the diagram content (plus dt/solver if given).
-
-    Deterministic across processes and interpreter runs: the payload is
-    the canonical JSON document (sorted keys, sorted blocks/connections),
-    which contains only declarative parameter values — no object ids, no
-    ``repr`` of live instances, no dict iteration order.  Raises
-    :class:`~repro.model.diagnostics.ModelError` for diagrams that hold
-    Python callables (those cannot be content-addressed).
-    """
-    payload = {
-        "doc": canonical_model_doc(model),
-        "dt": dt,
-        "solver": solver,
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+from repro.model.io import (  # noqa: F401  (the hash is re-exported here)
+    canonical_model_doc,
+    model_content_hash,
+    model_from_dict,
+)
 
 
 # ---------------------------------------------------------------------------

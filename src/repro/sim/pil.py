@@ -553,8 +553,12 @@ class PILSimulator:
             "chip": self.app.project.chip.name,
         }) as pil_span:
             self._setup()
+            # the plant steps once per plant_dt in lockstep with the board,
+            # far below native="auto"'s threshold: bind a built artifact
+            # whatever the run length, never wait for cc
             opts = SimulationOptions(
-                dt=self.plant_dt, t_final=t_final, solver=self.solver
+                dt=self.plant_dt, t_final=t_final, solver=self.solver,
+                native="reuse",
             )
             self.plant_sim = Simulator(self.plant_model, opts)
             self.plant_sim.initialize()

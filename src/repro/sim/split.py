@@ -13,6 +13,9 @@ replaced by a :class:`ControllerProxy` of identical port shape.
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.codegen.registry_hooks import register_native_lazy
 from repro.model.block import Block
 from repro.model.graph import Model
 from repro.model.library import Subsystem
@@ -24,6 +27,11 @@ class ControllerProxy(Block):
     Outputs hold the last actuation the harness applied; the harness reads
     the proxy's *input* signals (the sensor values the plant produces)
     through :meth:`Simulator.read_input`.
+
+    ``held`` is the only store of that actuation on every substrate: the
+    Python passes read it in :meth:`outputs`, and a native plant's context
+    borrows the same array, so :meth:`set_output` never needs to know
+    which executor runs the plant.
     """
 
     direct_feedthrough = False
@@ -32,16 +40,26 @@ class ControllerProxy(Block):
         super().__init__(name)
         self.n_in = n_in
         self.n_out = n_out
-        self._y = [0.0] * n_out
+        self.held = np.zeros(n_out)
 
     def set_output(self, port: int, value: float) -> None:
         """Harness applies a received actuation word."""
         if not (0 <= port < self.n_out):
             raise ValueError(f"proxy has no output port {port}")
-        self._y[port] = float(value)
+        self.held[port] = value
 
     def outputs(self, t, u, ctx):
-        return list(self._y)
+        return self.held.tolist()
+
+
+def _register_native() -> None:
+    from repro.codegen.templates import default_registry
+    from repro.native.templates import HeldOutputs
+
+    default_registry().register_native(ControllerProxy, HeldOutputs())
+
+
+register_native_lazy(_register_native)
 
 
 def split_plant_model(model: Model, controller_name: str) -> tuple[Model, ControllerProxy]:

@@ -7,6 +7,9 @@ toolchain — except the tests that exercise the fallback ladder itself,
 which mark themselves independent of the compiler.
 """
 
+import sys
+import threading
+
 import pytest
 
 
@@ -28,3 +31,30 @@ def require_cc():
             "no C compiler on PATH (cc/gcc/clang) — native path untestable "
             "here; the Python fallback legs still run"
         )
+
+
+def run_threads(calls, timeout=120.0, switch_interval=1e-5):
+    """Run ``calls`` (``(fn, *args)`` tuples) on one thread each, with a
+    short interpreter switch interval so the threads interleave densely;
+    re-raise the first error and fail on a thread that does not finish."""
+    errors = []
+
+    def guarded(fn, *args):
+        try:
+            fn(*args)
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(switch_interval)
+    try:
+        threads = [threading.Thread(target=guarded, args=c) for c in calls]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads), "a worker thread hung"
+    if errors:
+        raise errors[0]

@@ -1,6 +1,6 @@
 /* generated by repro.native — do not edit
  * model: h
- * dt: 0.001  solver: rk4  template: v1
+ * dt: 0.001  solver: rk4  template: v2
  * bit-exact mirror of repro.model.engine reference passes
  */
 #include <math.h>
@@ -10,21 +10,26 @@
 #define NSIG 4
 #define NSTATE 1
 #define NDW 0
+#define NHELD 0
 
-static double *S;
-static double *X;
-static double X0[NSTATE], K1[NSTATE], K2[NSTATE], K3[NSTATE], K4[NSTATE];
-static double DW[1];
+/* Per-instance context.  Every buffer is owned by the caller and only
+ * borrowed here: the TU keeps no mutable file-scope state, so any
+ * number of simulators (on any threads) can share one loaded library. */
+typedef struct {
+  double *S;   /* signals [NSIG] */
+  double *X;   /* continuous state [NSTATE] */
+  double *DW;  /* discrete work [NDW] */
+  double *W;   /* integrator scratch [5 * NSTATE]: X0 K1 K2 K3 K4 */
+  double *H[1];  /* held outputs, written between steps */
+} nx_ctx;
 
-void nx_bind(double *sigs, double *states, const double *dwork_init)
+#define NX_LOCALS \
+  double *S = c->S; double *X = c->X; double *DW = c->DW; \
+  (void)S; (void)X; (void)DW
+
+static void out_major(const nx_ctx *c, long long step, double t)
 {
-  S = sigs;
-  X = states;
-  (void)dwork_init;
-}
-
-static void out_major(long long step, double t)
-{
+  NX_LOCALS;
   (void)step; (void)t;
   { /* b */
     double v1 = X[0];
@@ -40,8 +45,9 @@ static void out_major(long long step, double t)
   S[3] = 0x1.0000000000000p-1;
 }
 
-static void out_minor(double t)
+static void out_minor(const nx_ctx *c, double t)
 {
+  NX_LOCALS;
   (void)t;
   { /* b */
     double v3 = X[0];
@@ -56,62 +62,67 @@ static void out_minor(double t)
   }
 }
 
-static void upd(long long step, double t)
+static void upd(const nx_ctx *c, long long step, double t)
 {
+  NX_LOCALS;
   (void)step; (void)t;
 }
 
-static void deriv(double t, double *XD)
+static void deriv(const nx_ctx *c, double t, double *XD)
 {
+  NX_LOCALS;
   (void)t;
   { /* b */
     XD[0] = (-0x1.9000000000000p+6) * X[0] + 0x1.0000000000000p+0 * S[1];
   }
 }
 
-static void integrate(double t)
+static void integrate(const nx_ctx *c, double t)
 {
   int i;
+  double *X = c->X, *X0 = c->W;
+  double *K1 = X0 + NSTATE, *K2 = K1 + NSTATE, *K3 = K2 + NSTATE, *K4 = K3 + NSTATE;
   double half_dt = 0.5 * DT;
   double half = t + half_dt;
   double sixth = DT / 6.0;
   for (i = 0; i < NSTATE; i++) X0[i] = X[i];
-  deriv(t, K1);
+  deriv(c, t, K1);
   for (i = 0; i < NSTATE; i++) X[i] = X0[i] + half_dt * K1[i];
-  out_minor(half);
-  deriv(half, K2);
+  out_minor(c, half);
+  deriv(c, half, K2);
   for (i = 0; i < NSTATE; i++) X[i] = X0[i] + half_dt * K2[i];
-  out_minor(half);
-  deriv(half, K3);
+  out_minor(c, half);
+  deriv(c, half, K3);
   for (i = 0; i < NSTATE; i++) X[i] = X0[i] + DT * K3[i];
-  out_minor(t + DT);
-  deriv(t + DT, K4);
+  out_minor(c, t + DT);
+  deriv(c, t + DT, K4);
   for (i = 0; i < NSTATE; i++)
     X[i] = X0[i] + sixth * (K1[i] + 2.0 * K2[i] + 2.0 * K3[i] + K4[i]);
 }
 
-void nx_out_major(long long step)
+void nx_out_major(const nx_ctx *c, long long step)
 {
-  out_major(step, (double)step * DT);
+  out_major(c, step, (double)step * DT);
 }
 
-void nx_finish(long long step)
+void nx_finish(const nx_ctx *c, long long step)
 {
   double t = (double)step * DT;
-  upd(step, t);
-  integrate(t);
+  upd(c, step, t);
+  integrate(c, t);
 }
 
-void nx_run(long long start, long long n, double *scope_out, double *trace_out)
+void nx_run(const nx_ctx *c, long long start, long long n, double *scope_out, double *trace_out)
 {
+  const double *S = c->S;
   long long i;
   for (i = 0; i < n; i++) {
     long long step = start + i;
     double t = (double)step * DT;
-    out_major(step, t);
+    out_major(c, step, t);
     scope_out[i * 1 + 0] = S[0];
     if (trace_out) memcpy(trace_out + i * NSIG, S, sizeof(double) * NSIG);
-    upd(step, t);
-    integrate(t);
+    upd(c, step, t);
+    integrate(c, t);
   }
 }

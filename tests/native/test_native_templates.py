@@ -15,10 +15,16 @@ import math
 import os
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.model import Simulator, SimulationOptions
-from repro.native import TEMPLATE_VERSION, generate_tu
+from repro.native import (
+    TEMPLATE_VERSION,
+    NativeLoweringError,
+    generate_program,
+    generate_tu,
+)
 from repro.native.emit import clit
 
 from tests.model.test_kernels import (
@@ -71,8 +77,44 @@ class TestGolden:
         factory, dt, solver = CASES["mixed_rate_rk4"]
         tu = tu_for(factory, dt, solver)
         assert f"template: v{TEMPLATE_VERSION}" in tu
-        for sym in ("nx_bind", "nx_out_major", "nx_finish", "nx_run"):
+        for sym in ("nx_ctx", "nx_out_major", "nx_finish", "nx_run"):
             assert sym in tu
+        # reentrant: no mutable file-scope state (only const tables)
+        assert not [ln for ln in tu.splitlines()
+                    if ln.startswith("static double")]
+
+
+class TestHeldOutputs:
+    """A PIL plant's controller proxy lowers to reads of its own ``held``
+    array, which the context borrows (no compiler needed to check)."""
+
+    def plant(self):
+        from repro.casestudy import ServoConfig, build_servo_model
+        from repro.sim import split_plant_model
+
+        plant, proxy = split_plant_model(
+            build_servo_model(ServoConfig()).model, "controller"
+        )
+        sim = Simulator(
+            plant.compile(1e-4),
+            SimulationOptions(dt=1e-4, t_final=0.01, native=False),
+        )
+        sim.initialize()
+        return sim, proxy
+
+    def test_proxy_reads_its_held_buffer(self):
+        sim, proxy = self.plant()
+        program = generate_program(sim, sim.fast_path.plan)
+        assert len(program.held) == 1 and program.held[0] is proxy.held
+        assert "= c->H[0][0];" in program.source
+
+    @pytest.mark.parametrize("bad", [[0.0], np.zeros(1, dtype=np.float32),
+                                     np.zeros(0)])
+    def test_unusable_held_buffer_refuses(self, bad):
+        sim, proxy = self.plant()
+        proxy.held = bad
+        with pytest.raises(NativeLoweringError):
+            generate_program(sim, sim.fast_path.plan)
 
 
 class TestDumpCLI:
