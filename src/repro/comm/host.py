@@ -8,6 +8,7 @@ scheduler so the whole PIL system lives on one coherent timeline.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Optional
 
 from .line import Scheduler, SerialLine
@@ -23,6 +24,8 @@ class HostSerialPort:
             raise ValueError("baud must be positive")
         self.scheduler = scheduler
         self.baud = float(baud)
+        #: wire time of one 8N1 frame
+        self.byte_time = BITS_PER_FRAME / self.baud
         self.line: Optional[SerialLine] = None
         self.endpoint: Optional[int] = None
         self._tx_fifo: deque[int] = deque()
@@ -31,10 +34,6 @@ class HostSerialPort:
         self.on_byte: Optional[Callable[[int], None]] = None
         self.bytes_sent = 0
         self.bytes_received = 0
-
-    @property
-    def byte_time(self) -> float:
-        return BITS_PER_FRAME / self.baud
 
     def connect(self, line: SerialLine, endpoint: int) -> None:
         self.line = line
@@ -53,15 +52,16 @@ class HostSerialPort:
             return
         byte = self._tx_fifo.popleft()
         self._tx_busy = True
+        scheduler = self.scheduler
+        scheduler.schedule(scheduler.time + self.byte_time,
+                           partial(self._shifted, byte))
 
-        def shifted() -> None:
-            self._tx_busy = False
-            self.bytes_sent += 1
-            if self.line is not None and self.endpoint is not None:
-                self.line.transmit(self.endpoint, byte, self.byte_time)
-            self._pump()
-
-        self.scheduler.schedule(self.scheduler.time + self.byte_time, shifted)
+    def _shifted(self, byte: int) -> None:
+        self._tx_busy = False
+        self.bytes_sent += 1
+        if self.line is not None and self.endpoint is not None:
+            self.line.transmit(self.endpoint, byte, self.byte_time)
+        self._pump()
 
     def flush_tx(self) -> int:
         """Abort queued (not yet shifting) bytes; returns how many were

@@ -12,6 +12,7 @@ bits smear and bytes arrive corrupted.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Protocol
 
 import numpy as np
@@ -47,6 +48,8 @@ class SerialLine:
         self._rng = np.random.default_rng(seed)
         self._sinks: dict[int, Callable[[int], None]] = {}
         self._bauds: dict[int, float] = {}
+        #: the declared bauds disagree beyond what a receiver tolerates
+        self._mismatched = False
         self.bytes_delivered = [0, 0]  # indexed by *receiving* endpoint
         self.bytes_corrupted = 0
         self.bytes_dropped = 0
@@ -68,6 +71,7 @@ class SerialLine:
         if endpoint not in (0, 1):
             raise ValueError("endpoint must be 0 or 1")
         self._bauds[endpoint] = float(baud)
+        self._mismatched = self.baud_mismatch > BAUD_TOLERANCE
 
     @property
     def baud_mismatch(self) -> float:
@@ -93,8 +97,9 @@ class SerialLine:
             self.bytes_dropped += 1
             return
         byte &= 0xFF
+        scheduler = self.scheduler
         if self.fault is not None:
-            faulted = self.fault(self.scheduler.time, byte)
+            faulted = self.fault(scheduler.time, byte)
             if faulted is None:
                 self.bytes_dropped += 1
                 return
@@ -104,22 +109,18 @@ class SerialLine:
         if self.drop_rate and self._rng.random() < self.drop_rate:
             self.bytes_dropped += 1
             return
-        corrupt = False
-        if self.baud_mismatch > BAUD_TOLERANCE:
-            corrupt = True
-        elif self.error_rate and self._rng.random() < self.error_rate:
-            corrupt = True
-        if corrupt:
+        if self._mismatched or (
+            self.error_rate and self._rng.random() < self.error_rate
+        ):
             byte ^= int(self._rng.integers(1, 256))
             self.bytes_corrupted += 1
+        scheduler.schedule(
+            scheduler.time + self.wire_delay, partial(self._deliver, sink, to, byte)
+        )
 
-        t_arrival = self.scheduler.time + self.wire_delay
-
-        def deliver() -> None:
-            self.bytes_delivered[to] += 1
-            sink(byte)
-
-        self.scheduler.schedule(t_arrival, deliver)
+    def _deliver(self, sink: Callable[[int], None], to: int, byte: int) -> None:
+        self.bytes_delivered[to] += 1
+        sink(byte)
 
     # ------------------------------------------------------------------
     @property

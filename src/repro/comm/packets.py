@@ -14,6 +14,8 @@ on the next SOF after any error.
 from __future__ import annotations
 
 import enum
+import functools
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -21,6 +23,9 @@ SOF = 0xA5
 #: Frame overhead: SOF + SEQ + TYPE + LEN + CRC.
 OVERHEAD_BYTES = 5
 MAX_PAYLOAD = 255
+#: little-endian 16-bit word packers, indexed by word count (LEN is one
+#: byte, so a frame carries at most 127 words)
+_WORDS = tuple(struct.Struct(f"<{n}H") for n in range(MAX_PAYLOAD // 2 + 1))
 
 
 class PacketType(enum.IntEnum):
@@ -35,13 +40,30 @@ class PacketType(enum.IntEnum):
     NAK = 0x07         # ARQ: corrupted frame seen, solicit retransmit
 
 
-def crc8(data: Iterable[int], poly: int = 0x07, init: int = 0x00) -> int:
-    """CRC-8-CCITT over a byte iterable."""
-    crc = init
-    for b in data:
-        crc ^= b & 0xFF
+#: the PacketType of each wire value (unknown values are absent)
+_PTYPES = {int(t): t for t in PacketType}
+
+
+@functools.cache
+def _crc8_table(poly: int) -> bytes:
+    """CRC-8 of every single byte under ``poly``, by the bitwise
+    definition (MSB first): the byte-at-a-time lookup table."""
+    table = bytearray(256)
+    for i in range(256):
+        crc = i
         for _ in range(8):
             crc = ((crc << 1) ^ poly) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        table[i] = crc
+    return bytes(table)
+
+
+def crc8(data: Iterable[int], poly: int = 0x07, init: int = 0x00) -> int:
+    """CRC-8-CCITT over a byte iterable (table-driven, one table per
+    polynomial, built on first use)."""
+    table = _crc8_table(poly)
+    crc = init
+    for b in data:
+        crc = table[(crc ^ b) & 0xFF]
     return crc
 
 
@@ -67,31 +89,28 @@ class PacketCodec:
 
     def encode(self, ptype: PacketType, words: Iterable[int]) -> bytes:
         """Build one frame carrying unsigned 16-bit words."""
-        payload = bytearray()
-        for w in words:
-            w = int(w) & 0xFFFF
-            payload.append(w & 0xFF)
-            payload.append((w >> 8) & 0xFF)
-        if len(payload) > MAX_PAYLOAD:
+        words = [int(w) & 0xFFFF for w in words]
+        n_bytes = 2 * len(words)
+        if n_bytes > MAX_PAYLOAD:
             raise ValueError(
-                f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD}-byte frame limit"
+                f"payload of {n_bytes} bytes exceeds the {MAX_PAYLOAD}-byte frame limit"
             )
         seq = self._seq
         self._seq = (self._seq + 1) & 0xFF
-        header = bytes([SOF, seq, int(ptype), len(payload)])
-        body = header + bytes(payload)
-        frame = body + bytes([crc8(body[1:])])  # CRC over everything after SOF
+        frame = bytearray((SOF, seq, int(ptype), n_bytes))
+        frame += _WORDS[len(words)].pack(*words)
+        frame.append(crc8(frame[1:]))  # CRC over everything after SOF
         self.packets_encoded += 1
-        return frame
+        return bytes(frame)
 
     def encode_control(self, ptype: PacketType, seq: int) -> bytes:
         """Build a zero-payload control frame whose SEQ field carries an
         *explicit* reference (ACK/NAK name the frame they refer to, they
         do not consume a number from the data stream)."""
-        header = bytes([SOF, int(seq) & 0xFF, int(ptype), 0])
-        frame = header + bytes([crc8(header[1:])])
+        frame = bytearray((SOF, int(seq) & 0xFF, int(ptype), 0))
+        frame.append(crc8(frame[1:]))
         self.packets_encoded += 1
-        return frame
+        return bytes(frame)
 
     @staticmethod
     def wire_size(n_words: int) -> int:
@@ -107,6 +126,10 @@ class PacketDecoder:
     bump :attr:`crc_errors` and scanning restarts at the next SOF;
     ``on_error`` (if set) fires once per rejected frame so a reliability
     layer can solicit a retransmission.
+
+    A frame's fate is decided when its last byte arrives (or, for an
+    invalid LEN, its header's): until the buffer holds the ``_need``
+    bytes the head frame needs, a feed only appends.
     """
 
     def __init__(self, on_packet=None, on_error=None, max_payload: int = MAX_PAYLOAD):
@@ -114,18 +137,31 @@ class PacketDecoder:
         self.packets: list[Packet] = []
         self.on_packet = on_packet
         self.on_error = on_error
-        self.max_payload = int(max_payload)
+        self.max_payload = max_payload
         self.crc_errors = 0
         self.resyncs = 0
+
+    @property
+    def max_payload(self) -> int:
+        return self._max_payload
+
+    @max_payload.setter
+    def max_payload(self, limit: int) -> None:
+        self._max_payload = int(limit)
+        self._need = 1  # re-check a waiting header against the new bound
 
     def reset(self) -> None:
         """Drop any partially received frame (recovery resync); the
         error/packet counters survive, they are campaign statistics."""
         self._buf.clear()
+        self._need = 1
 
     def feed(self, data: bytes | bytearray | Iterable[int]) -> list[Packet]:
         """Consume bytes; returns packets completed by *this* call."""
-        self._buf.extend(data if isinstance(data, (bytes, bytearray)) else bytes(data))
+        buf = self._buf
+        buf.extend(data if isinstance(data, (bytes, bytearray)) else bytes(data))
+        if len(buf) < self._need:
+            return []
         done: list[Packet] = []
         while True:
             pkt = self._try_parse()
@@ -138,43 +174,47 @@ class PacketDecoder:
         return done
 
     def _try_parse(self) -> Optional[Packet]:
+        """Parse the head frame; rejected frames are skipped in a loop.
+        Returns None (and sets ``_need``) when the head frame is still
+        incomplete."""
         buf = self._buf
-        # hunt for SOF
-        while buf and buf[0] != SOF:
-            buf.pop(0)
-            self.resyncs += 1
-        if len(buf) < OVERHEAD_BYTES:
-            return None
-        length = buf[3]
-        # Validate LEN before waiting on payload bytes: a byte-drop can put
-        # arbitrary garbage in the LEN slot, and waiting for up to 255
-        # phantom bytes stalls the parser for tens of frames.  Word payloads
-        # are always even, and callers that know their traffic can tighten
-        # ``max_payload`` further.
-        if length % 2 != 0 or length > self.max_payload:
-            self._frame_error()
-            buf.pop(0)
-            return self._try_parse()
-        frame_len = OVERHEAD_BYTES + length
-        if len(buf) < frame_len:
-            return None
-        frame = bytes(buf[:frame_len])
-        if crc8(frame[1:-1]) != frame[-1]:
-            self._frame_error()
-            buf.pop(0)  # discard this SOF, rescan
-            return self._try_parse()
-        seq, ptype_raw = frame[1], frame[2]
-        del buf[:frame_len]
-        try:
-            ptype = PacketType(ptype_raw)
-        except ValueError:
-            self._frame_error()
-            return self._try_parse()
-        payload = frame[4:-1]
-        words = tuple(
-            payload[i] | (payload[i + 1] << 8) for i in range(0, len(payload), 2)
-        )
-        return Packet(ptype=ptype, seq=seq, words=words)
+        while True:
+            # hunt for SOF
+            skip = buf.find(SOF)
+            if skip < 0:
+                skip = len(buf)
+            if skip:
+                del buf[:skip]
+                self.resyncs += skip
+            if len(buf) < OVERHEAD_BYTES:
+                self._need = OVERHEAD_BYTES if buf else 1
+                return None
+            length = buf[3]
+            # Validate LEN before waiting on payload bytes: a byte-drop can
+            # put arbitrary garbage in the LEN slot, and waiting for up to
+            # 255 phantom bytes stalls the parser for tens of frames.  Word
+            # payloads are always even, and callers that know their traffic
+            # can tighten ``max_payload`` further.
+            if length % 2 != 0 or length > self._max_payload:
+                self._frame_error()
+                del buf[0]
+                continue
+            frame_len = OVERHEAD_BYTES + length
+            if len(buf) < frame_len:
+                self._need = frame_len
+                return None
+            if crc8(buf[1:frame_len - 1]) != buf[frame_len - 1]:
+                self._frame_error()
+                del buf[0]  # discard this SOF, rescan
+                continue
+            seq, ptype = buf[1], _PTYPES.get(buf[2])
+            if ptype is not None:
+                words = _WORDS[length // 2].unpack_from(buf, 4)
+            del buf[:frame_len]
+            if ptype is None:
+                self._frame_error()
+                continue
+            return Packet(ptype=ptype, seq=seq, words=words)
 
     def _frame_error(self) -> None:
         self.crc_errors += 1

@@ -10,11 +10,10 @@ that ledger; the interrupt controller drives it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionRecord:
     """One completed ISR (or task) activation."""
 
@@ -48,6 +47,10 @@ class CPU:
     * ``interrupt_latency_cycles`` models vector fetch + context save;
     * the stack model charges ``isr_frame_bytes`` per active nesting level
       on top of ``base_stack_bytes`` (main + globals of the runtime).
+
+    The interrupt controller writes the ledger fields (``records``,
+    ``busy_time``, ``max_nesting``) directly: they change once or twice
+    per handler activation.
     """
 
     def __init__(
@@ -63,35 +66,24 @@ class CPU:
         self.interrupt_latency_cycles = int(interrupt_latency_cycles)
         self.base_stack_bytes = int(base_stack_bytes)
         self.isr_frame_bytes = int(isr_frame_bytes)
+        #: completed activations, in completion order
         self.records: list[ExecutionRecord] = []
+        #: seconds the core spent executing handlers
         self.busy_time = 0.0
-        self._max_nesting = 0
+        #: deepest ISR nesting level reached
+        self.max_nesting = 0
 
     # ------------------------------------------------------------------
     def cycles_to_time(self, cycles: float) -> float:
         return cycles / self.f
 
-    def note_depth(self, depth: int) -> None:
-        """Track the maximum ISR nesting depth reached."""
-        self._max_nesting = max(self._max_nesting, depth)
-
-    def add_busy(self, seconds: float) -> None:
-        self.busy_time += seconds
-
-    def record(self, rec: ExecutionRecord) -> None:
-        self.records.append(rec)
-
     # ------------------------------------------------------------------
     # profiling queries
     # ------------------------------------------------------------------
     @property
-    def max_nesting(self) -> int:
-        return self._max_nesting
-
-    @property
     def max_stack_bytes(self) -> int:
         """Worst-case stack: base + one frame per nesting level observed."""
-        return self.base_stack_bytes + self._max_nesting * self.isr_frame_bytes
+        return self.base_stack_bytes + self.max_nesting * self.isr_frame_bytes
 
     def utilization(self, horizon: float) -> float:
         """Fraction of ``horizon`` the core was busy."""

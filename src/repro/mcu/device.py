@@ -5,12 +5,19 @@ descriptor instantiated into a clock tree, CPU, interrupt controller and
 the chip's peripheral complement.  Time advances through a monotonic event
 queue (``schedule`` / ``run_until``); the co-simulation layers interleave
 ``run_until`` with plant-model steps.
+
+Events run by time, then in the order they were scheduled.  Only future
+events go on the heap; an event due now (mostly zero-delay wire
+deliveries) goes to a FIFO lane, which ``run_until`` drains after any
+heap event due at the same instant — a heap event due now was queued
+before the clock reached now, so it was scheduled first.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from collections import deque
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .clock import ClockTree
@@ -68,8 +75,12 @@ class MCUDevice:
         )
         self.intc = InterruptController(self, self.cpu, dispatch_mode)
         self.time = 0.0
+        #: future events as (time, seq, fn); seq keeps same-time ties in
+        #: scheduling order
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
+        #: events due at the current time, in scheduling order
+        self._now: deque[Callable[[], None]] = deque()
         self.peripherals: dict[str, Peripheral] = {}
         #: external analogue world: channel -> volts (set by the plant model)
         self.analog_in: dict[int, float] = {}
@@ -130,16 +141,29 @@ class MCUDevice:
     # ------------------------------------------------------------------
     def schedule(self, t: float, fn: Callable[[], None]) -> None:
         """Queue ``fn`` to run at absolute time ``t`` (clamped to now)."""
-        heapq.heappush(self._queue, (max(t, self.time), next(self._seq), fn))
+        if t <= self.time:
+            self._now.append(fn)
+        else:
+            heappush(self._queue, (t, next(self._seq), fn))
 
     def run_until(self, t_end: float) -> None:
-        """Process every event with timestamp <= ``t_end``, in order."""
+        """Process every event with timestamp <= ``t_end``, by time, then
+        in scheduling order."""
         if t_end < self.time:
             raise ValueError(f"cannot run backwards: {t_end} < {self.time}")
-        while self._queue and self._queue[0][0] <= t_end:
-            t, _seq, fn = heapq.heappop(self._queue)
+        heap, now = self._queue, self._now
+        while True:
+            while now:
+                now.popleft()()
+            if not heap or heap[0][0] > t_end:
+                break
+            t, _seq, fn = heappop(heap)
             self.time = t
             fn()
+            # the heap's other events at this instant were queued before
+            # the clock got here, so before anything now in the FIFO
+            while heap and heap[0][0] <= self.time:
+                heappop(heap)[2]()
         self.time = t_end
 
     def run_for(self, dt: float) -> None:
@@ -148,7 +172,7 @@ class MCUDevice:
 
     @property
     def pending_events(self) -> int:
-        return len(self._queue)
+        return len(self._queue) + len(self._now)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -156,6 +180,7 @@ class MCUDevice:
         interrupt vector table / registered sources survive, as the same
         firmware image is assumed)."""
         self._queue.clear()
+        self._now.clear()
         self.time = 0.0
         self.intc.reset_runtime()
         for p in self.peripherals.values():

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Union, TYPE_CHECKING
 
 from .cpu import CPU, ExecutionRecord
@@ -59,7 +60,7 @@ class InterruptSource:
         return float(c)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     source: InterruptSource
     t_request: float
@@ -115,15 +116,17 @@ class InterruptController:
         if not src.enabled:
             self.dropped.append((name, now))
             return
+        if not self._stack and not self._pending:
+            self._start(src, now)  # idle core, nothing queued: runs at once
+            return
         self._pending.append((name, now))
         self._try_dispatch()
 
     # ------------------------------------------------------------------
     # dispatch machinery
     # ------------------------------------------------------------------
-    def _highest_pending(self) -> Optional[int]:
-        if not self._pending:
-            return None
+    def _highest_pending(self) -> int:
+        """Index of the highest-priority request (the earliest on ties)."""
         best_i = 0
         best_p = self.sources[self._pending[0][0]].priority
         for i, (name, _t) in enumerate(self._pending[1:], start=1):
@@ -133,9 +136,11 @@ class InterruptController:
         return best_i
 
     def _try_dispatch(self) -> None:
-        i = self._highest_pending()
-        if i is None:
+        if not self._pending:
             return
+        if self._stack and self.mode is not DispatchMode.PREEMPTIVE:
+            return  # the running handler completes first
+        i = self._highest_pending()
         name, t_req = self._pending[i]
         src = self.sources[name]
         if not self._stack:
@@ -149,22 +154,15 @@ class InterruptController:
                 self._preempt_and_start(src, t_req)
 
     def _start(self, src: InterruptSource, t_req: float) -> None:
-        now = self.device.time
-        latency = self.cpu.cycles_to_time(self.cpu.interrupt_latency_cycles)
-        t_start = now + latency
+        cpu = self.cpu
+        t_start = self.device.time + cpu.interrupt_latency_cycles / cpu.f
         cost = src.cost()
-        frame = _Frame(
-            source=src,
-            t_request=t_req,
-            t_start=t_start,
-            remaining_cycles=cost,
-            t_resume=t_start,
-            token=next(self._tokens),
-            cost_cycles=cost,
-            depth=len(self._stack) + 1,
-        )
+        depth = len(self._stack) + 1
+        frame = _Frame(src, t_req, t_start, cost, t_start, next(self._tokens),
+                       cost, 0, depth)
         self._stack.append(frame)
-        self.cpu.note_depth(frame.depth)
+        if depth > cpu.max_nesting:
+            cpu.max_nesting = depth
         if src.on_start is not None:
             src.on_start(self.device)
         self._schedule_completion(frame)
@@ -176,38 +174,32 @@ class InterruptController:
         top.remaining_cycles = max(0.0, top.remaining_cycles - executed)
         top.token = next(self._tokens)  # invalidate its scheduled completion
         top.preemptions += 1
-        self.cpu.add_busy(now - top.t_resume)
+        self.cpu.busy_time += now - top.t_resume
         self._start(src, t_req)
 
     def _schedule_completion(self, frame: _Frame) -> None:
-        t_done = max(self.device.time, frame.t_resume) + self.cpu.cycles_to_time(
-            frame.remaining_cycles
-        )
-        token = frame.token
-        self.device.schedule(t_done, lambda: self._complete(frame, token))
+        device = self.device
+        t_done = max(device.time, frame.t_resume) + frame.remaining_cycles / self.cpu.f
+        device.schedule(t_done, partial(self._complete, frame, frame.token))
 
     def _complete(self, frame: _Frame, token: int) -> None:
-        if frame.token != token or not self._stack or self._stack[-1] is not frame:
+        stack = self._stack
+        if frame.token != token or not stack or stack[-1] is not frame:
             return  # stale completion (the frame was preempted)
         now = self.device.time
-        self._stack.pop()
-        self.cpu.add_busy(now - frame.t_resume)
-        self.cpu.record(
-            ExecutionRecord(
-                name=frame.source.name,
-                t_request=frame.t_request,
-                t_start=frame.t_start,
-                t_end=now,
-                cycles=frame.cost_cycles,
-                preemptions=frame.preemptions,
-                nesting_depth=frame.depth,
-            )
-        )
-        if frame.source.on_complete is not None:
-            frame.source.on_complete(self.device)
+        stack.pop()
+        cpu = self.cpu
+        cpu.busy_time += now - frame.t_resume
+        src = frame.source
+        cpu.records.append(ExecutionRecord(
+            src.name, frame.t_request, frame.t_start, now, frame.cost_cycles,
+            frame.preemptions, frame.depth,
+        ))
+        if src.on_complete is not None:
+            src.on_complete(self.device)
         # resume a preempted frame, if any
-        if self._stack:
-            resumed = self._stack[-1]
+        if stack:
+            resumed = stack[-1]
             resumed.t_resume = now
             resumed.token = next(self._tokens)
             self._schedule_completion(resumed)

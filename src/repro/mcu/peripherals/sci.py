@@ -11,7 +11,8 @@ it, and RX interrupts; the wire itself is
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional, TYPE_CHECKING
+from functools import partial
+from typing import Optional, TYPE_CHECKING
 
 from .base import Peripheral
 from ..clock import DividerSolution
@@ -38,6 +39,7 @@ class SCI(Peripheral):
         self.tx_fifo_depth = int(tx_fifo_depth)
         self.rx_fifo_depth = int(rx_fifo_depth)
         self.solution: Optional[DividerSolution] = None
+        self._byte_time: Optional[float] = None
         self._tx_fifo: deque[int] = deque()
         self._rx_fifo: deque[int] = deque()
         self._tx_busy = False
@@ -63,6 +65,7 @@ class SCI(Peripheral):
         achieved = dev.clock.f_bus / (16.0 * div)
         err = abs(achieved - baud) / baud
         self.solution = DividerSolution(1, div, achieved, baud, err)
+        self._byte_time = BITS_PER_FRAME / achieved
         return self.solution
 
     @property
@@ -74,7 +77,9 @@ class SCI(Peripheral):
     @property
     def byte_time(self) -> float:
         """Wire time of one 8N1 frame."""
-        return BITS_PER_FRAME / self.baud
+        if self._byte_time is None:
+            raise RuntimeError(f"SCI '{self.name}' not configured")
+        return self._byte_time
 
     # ------------------------------------------------------------------
     def connect(self, line: "SerialLine", endpoint: int) -> None:
@@ -105,17 +110,16 @@ class SCI(Peripheral):
         dev = self._require_device()
         byte = self._tx_fifo.popleft()
         self._tx_busy = True
+        dev.schedule(dev.time + self.byte_time, partial(self._shifted_out, byte))
 
-        def shifted_out() -> None:
-            self._tx_busy = False
-            self.bytes_sent += 1
-            if self.line is not None and self.endpoint is not None:
-                self.line.transmit(self.endpoint, byte, self.byte_time)
-            if self.tx_irq_vector:
-                self.raise_irq(self.tx_irq_vector)
-            self._pump_tx()
-
-        dev.schedule(dev.time + self.byte_time, shifted_out)
+    def _shifted_out(self, byte: int) -> None:
+        self._tx_busy = False
+        self.bytes_sent += 1
+        if self.line is not None and self.endpoint is not None:
+            self.line.transmit(self.endpoint, byte, self.byte_time)
+        if self.tx_irq_vector:
+            self.raise_irq(self.tx_irq_vector)
+        self._pump_tx()
 
     @property
     def tx_idle(self) -> bool:
@@ -137,17 +141,16 @@ class SCI(Peripheral):
             return
         self._rx_fifo.append(byte)
         self.bytes_received += 1
-        if self.rx_irq_vector:
-            self.raise_irq(self.rx_irq_vector)
-        else:
-            self.raise_irq()
+        self.raise_irq(self.rx_irq_vector)  # falls back to irq_vector
 
     def receive(self, max_bytes: int = 1 << 30) -> bytes:
         """Drain up to ``max_bytes`` from the RX FIFO."""
-        out = bytearray()
-        while self._rx_fifo and len(out) < max_bytes:
-            out.append(self._rx_fifo.popleft())
-        return bytes(out)
+        fifo = self._rx_fifo
+        if len(fifo) <= max_bytes:
+            out = bytes(fifo)
+            fifo.clear()
+            return out
+        return bytes(fifo.popleft() for _ in range(max_bytes))
 
     @property
     def rx_available(self) -> int:
@@ -155,6 +158,7 @@ class SCI(Peripheral):
 
     def reset(self) -> None:
         self.solution = None
+        self._byte_time = None
         self._tx_fifo.clear()
         self._rx_fifo.clear()
         self._tx_busy = False

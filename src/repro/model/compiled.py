@@ -217,8 +217,9 @@ class CompiledModel:
     def is_hit(self, qname: str, step: int) -> bool:
         """Whether ``qname`` has a sample hit at major step ``step``.
 
-        The single source of truth for rate hits — the simulator, the
-        atomic executor and the kernel planner all defer to it.
+        The single source of truth for rate hits — the simulator and the
+        kernel planner defer to it; the atomic executor applies the same
+        rule to the divisors it resolves once in ``start()``.
         """
         k = self.divisors[qname]
         return k == 0 or step % k == 0

@@ -40,6 +40,9 @@ class AtomicExecutor:
         self.ctxs: dict[str, BlockContext] = {}
         self.tick = 0
         self._started = False
+        #: the periodic pass, resolved by start(): (block, ctx, input
+        #: signal indices, output signal indices, rate divisor) per block
+        self._pass: list[tuple] = []
         self._inports: dict[int, str] = {}
         self._outports: dict[int, str] = {}
         for qname, block in cm.nodes.items():
@@ -50,11 +53,24 @@ class AtomicExecutor:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        for qname in self.cm.order:
+        cm = self.cm
+        self._pass = []
+        for qname in cm.order:
+            block = cm.nodes[qname]
             ctx = BlockContext()
             ctx.x = np.zeros(0)
             self.ctxs[qname] = ctx
-            self.cm.nodes[qname].start(ctx)
+            block.start(ctx)
+            # triggered (function-call) blocks run in their own ISRs; a
+            # divisor of 0 runs the block on every tick
+            if not getattr(block, "triggerable", False):
+                self._pass.append((
+                    block,
+                    ctx,
+                    tuple(cm.input_map[qname]),
+                    tuple(cm.sig_index[(qname, p)] for p in range(block.n_out)),
+                    cm.divisors[qname] if self.honor_rates else 0,
+                ))
         self.tick = 0
         self._started = True
 
@@ -79,30 +95,25 @@ class AtomicExecutor:
         return float(self.signals[self.cm.sig_index[(qname, port)]])
 
     # ------------------------------------------------------------------
-    def _is_hit(self, qname: str) -> bool:
-        return not self.honor_rates or self.cm.is_hit(qname, self.tick)
-
     def call(self, t: float) -> None:
-        """One complete pass: outputs then updates, in sorted order.
-        Triggered (function-call) blocks are skipped — on a target they
-        run in their own ISRs."""
+        """One complete pass: outputs then updates, in sorted order, of
+        the blocks with a sample hit this tick (every block unless
+        ``honor_rates``).  Triggered (function-call) blocks are skipped —
+        on a target they run in their own ISRs."""
         if not self._started:
             raise ModelError("call start() before executing")
-        cm, sigs = self.cm, self.signals
-        for qname in cm.order:
-            block = cm.nodes[qname]
-            if getattr(block, "triggerable", False) or not self._is_hit(qname):
+        sigs, tick = self.signals, self.tick
+        item = sigs.item
+        for block, ctx, ins, outs, k in self._pass:
+            if k and tick % k:
                 continue
-            u = [float(sigs[i]) for i in cm.input_map[qname]]
-            out = block.outputs(t, u, self.ctxs[qname])
-            for port, v in enumerate(out):
-                sigs[cm.sig_index[(qname, port)]] = float(v)
-        for qname in cm.order:
-            block = cm.nodes[qname]
-            if getattr(block, "triggerable", False) or not self._is_hit(qname):
+            out = block.outputs(t, [item(i) for i in ins], ctx)
+            for i, v in zip(outs, out):
+                sigs[i] = float(v)
+        for block, ctx, ins, _outs, k in self._pass:
+            if k and tick % k:
                 continue
-            u = [float(sigs[i]) for i in cm.input_map[qname]]
-            block.update(t, u, self.ctxs[qname])
+            block.update(t, [item(i) for i in ins], ctx)
         self.tick += 1
 
     def call_block(self, qname: str, t: float) -> None:
