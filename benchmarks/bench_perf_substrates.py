@@ -16,9 +16,11 @@ from repro.model import Simulator, SimulationOptions
 
 
 def test_perf_engine_steps(benchmark):
-    """Closed-loop servo MIL: major steps per second (kernel fast path)."""
+    """Closed-loop servo MIL: major steps per second (kernel fast path;
+    native off, since a bound native executor replaces the fast path)."""
     sm = build_servo_model(ServoConfig(setpoint=100.0))
-    sim = Simulator(sm.model, SimulationOptions(dt=1e-4, t_final=10.0))
+    sim = Simulator(sm.model,
+                    SimulationOptions(dt=1e-4, t_final=10.0, native=False))
     sim.initialize()
     assert sim.fast_path is not None, sim.kernel_fallback_reason
 

@@ -5,10 +5,11 @@ Subcommands:
 ``dump <model>``
     Lower a model through the kernel planner and print the native C
     translation unit — the exact source the engine would compile when
-    ``native=True``.  ``<model>`` is either a JSON model file (see
-    :func:`repro.model.io.load_model`) or the built-in name ``servo``
-    (the paper's case study).  Useful for inspecting what runs on the
-    metal and for diffing template changes.
+    ``native=True`` — followed by the parameter vector it reads as
+    ``P[k]``, one comment line per slot.  ``<model>`` is either a JSON
+    model file (see :func:`repro.model.io.load_model`) or the built-in
+    name ``servo`` (the paper's case study).  Useful for inspecting what
+    runs on the metal and for diffing template changes.
 """
 
 from __future__ import annotations

@@ -25,6 +25,9 @@ Two execution paths share these semantics:
   ``SimulationOptions(use_kernels=False)``) and falls back to the
   reference interpreter when planning fails; the equivalence suite in
   ``tests/model/test_kernels.py`` pins the two paths bit-identical.
+
+A third executor, the native C step loop (:mod:`repro.native`), lowers
+the same kernel plan; when it binds, the kernel fast path is not built.
 """
 
 from __future__ import annotations
@@ -128,7 +131,8 @@ class Simulator:
         self._out_minor: Callable[[float], None] = self._ref_out_minor
         self._update: Callable[[float, int], None] = self._ref_update
         self._deriv: Callable[[float, np.ndarray], None] = self._ref_deriv
-        #: the bound kernel plan / fast path (None on the reference path)
+        #: the bound kernel fast path (None on the reference and native
+        #: paths)
         self.fast_path = None
         #: why the fast path was not used (None when it is active)
         self.kernel_fallback_reason: Optional[str] = None
@@ -144,9 +148,10 @@ class Simulator:
     # ------------------------------------------------------------------
     def initialize(self) -> None:
         """Allocate contexts, call every block's ``start``, build the
-        reference execution schedules, and bind the kernel fast path
-        (planned against the blocks' *current* modes — PE peripherals may
-        have been switched to PIL/HW after the model was compiled)."""
+        reference execution schedules, and bind the native executor or
+        else the kernel fast path (planned against the blocks' *current*
+        modes — PE peripherals may have been switched to PIL/HW after the
+        model was compiled)."""
         cm = self.cm
         from .library.sinks import Scope
 
@@ -179,36 +184,58 @@ class Simulator:
                 )
             if isinstance(block, Scope):
                 self._scope_sched.append((qname, in_idx[0]))
-        self._bind_fast_path()
-        self._bind_native()
+        # one kernel plan serves both executors; the native loop takes
+        # over when it binds, else the Python passes are generated from it
+        mode = self._native_mode()
+        plan = None
+        if mode is not False or self.options.use_kernels:
+            plan = self._plan_kernels()
+        if not self._bind_native(mode, plan):
+            self._bind_fast_path(plan)
         self._initialized = True
 
-    def _bind_fast_path(self) -> None:
-        """Swap in the generated kernel passes, or record why not."""
-        tr = self._tracer
-        if not self.options.use_kernels:
-            self.kernel_fallback_reason = "disabled by SimulationOptions"
-            self._count_fallback("kernel_disabled")
-            if tr.enabled:
-                tr.instant("engine.kernel_fallback", cat="engine",
-                           args={"reason": self.kernel_fallback_reason})
-            return
-        from .kernels import KernelPlanError, build_fast_path
+    def _plan_kernels(self):
+        """The kernel plan against the blocks' current modes, or the
+        :class:`~repro.model.kernels.KernelPlanError` refusing it."""
+        from .kernels import KernelPlanError, plan_kernels
 
+        t0 = perf_counter()
         try:
-            fp = build_fast_path(self)
+            plan = plan_kernels(self.cm)
         except KernelPlanError as exc:
-            self.kernel_fallback_reason = str(exc)
-            self._count_fallback("kernel_plan_refused")
-            if tr.enabled:
-                tr.instant("engine.kernel_fallback", cat="engine",
-                           args={"reason": self.kernel_fallback_reason})
+            return exc
+        if self._tracer.enabled:
+            self._tracer.complete("engine.plan_kernels", "engine", t0,
+                                  args=dict(plan.stats))
+        return plan
+
+    def _bind_fast_path(self, plan) -> None:
+        """Swap in the generated kernel passes, or record why not."""
+        from .kernels import FastPath, KernelPlanError
+
+        if not self.options.use_kernels:
+            self._kernel_fallback("kernel_disabled",
+                                  "disabled by SimulationOptions")
+            return
+        try:
+            if isinstance(plan, KernelPlanError):
+                raise plan
+            fp = FastPath(self, plan)
+        except KernelPlanError as exc:
+            self._kernel_fallback("kernel_plan_refused", str(exc))
             return
         self.fast_path = fp
         self._out_major = fp.out_major
         self._out_minor = fp.out_minor
         self._update = fp.update
         self._deriv = fp.deriv
+
+    def _kernel_fallback(self, reason: str, detail: str) -> None:
+        self.kernel_fallback_reason = detail
+        self._count_fallback(reason)
+        if self._tracer.enabled:
+            self._tracer.instant("engine.kernel_fallback", cat="engine",
+                                 args={"reason": detail})
 
     # ------------------------------------------------------------------
     # native C executor binding
@@ -249,16 +276,15 @@ class Simulator:
             return "auto"
         return self.options.native
 
-    def _bind_native(self) -> None:
-        """Lower the plan to C, compile (or reuse the disk cache), and
-        take over the step loop — or record why not and keep the Python
-        paths untouched.  The fallback ladder: disabled ->
-        below_auto_threshold -> plan_refused -> toolchain_missing ->
+    def _bind_native(self, mode, plan) -> bool:
+        """Lower ``plan`` to C, compile (or reuse the disk cache), and
+        take over the step loop — or record why not and leave the Python
+        paths to :meth:`_bind_fast_path`.  The fallback ladder: disabled
+        -> below_auto_threshold -> plan_refused -> toolchain_missing ->
         compile_pending (``"reuse"`` only) -> compile_error."""
-        mode = self._native_mode()
         if mode is False:
             self._native_fallback("disabled")
-            return
+            return False
         if mode == "auto":
             n_steps = int(round(self.options.t_final / self.options.dt)) + 1
             work = n_steps * max(1, len(self._sched))
@@ -268,61 +294,53 @@ class Simulator:
             )
             if work < threshold:
                 self._native_fallback("below_auto_threshold")
-                return
+                return False
         from ..native import (
             NativeLoweringError,
             NativePath,
             ToolchainError,
-            doc_hash_for,
             ensure_compiled,
             find_cc,
             generate_program,
             reuse_compiled,
         )
-        from .kernels import KernelPlanError, plan_kernels
+        from .kernels import KernelPlanError
 
         try:
-            if self.fast_path is not None:
-                plan = self.fast_path.plan
-            else:
-                plan = plan_kernels(self.cm)
+            if isinstance(plan, KernelPlanError):
+                raise plan
             program = generate_program(self, plan)
         except (KernelPlanError, NativeLoweringError) as exc:
             self._native_fallback("plan_refused", str(exc))
-            return
+            return False
         if find_cc() is None:
             self._native_fallback("toolchain_missing",
                                   "no C compiler on PATH (cc/gcc/clang)")
-            return
+            return False
         try:
             if mode == "reuse":
-                so_path = reuse_compiled(program.source, doc_hash_for(self))
+                so_path = reuse_compiled(program.source)
                 if so_path is None:
                     self._native_fallback("compile_pending")
-                    return
+                    return False
             else:
-                so_path = ensure_compiled(program.source, doc_hash_for(self))
+                so_path = ensure_compiled(program.source)
         except ToolchainError as exc:
             self._native_fallback("compile_error", str(exc))
-            return
+            return False
         # Commit: the extension borrows the signal buffer, so the scalar
-        # list becomes an ndarray now.  The generated FastPath passes
-        # captured the *old list* in their default args — route the
-        # Python passes back through the reference methods (they read
-        # ``self.signals`` fresh each call) so co-simulation taps and
-        # the legacy shims stay correct alongside the native loop.
+        # list becomes an ndarray now (the reference passes read
+        # ``self.signals`` fresh each call, so co-simulation taps and the
+        # legacy shims stay correct alongside the native loop).
         signals = np.ascontiguousarray(self.signals, dtype=np.float64)
         try:
             native = NativePath(program, so_path, signals, self.x)
         except Exception as exc:  # dlopen/ABI trouble: keep Python paths
             self._native_fallback("compile_error", f"load failed: {exc}")
-            return
+            return False
         self.signals = signals
-        self._out_major = self._ref_out_major
-        self._out_minor = self._ref_out_minor
-        self._update = self._ref_update
-        self._deriv = self._ref_deriv
         self.native_path = native
+        return True
 
     def _make_fire(self, qname: str) -> Callable[[int], None]:
         # events are queued and dispatched right after the firing block's
@@ -619,9 +637,13 @@ class Simulator:
                 advance()
             return self.result()
         opts = self.options
+        if self.native_path is not None:
+            substrate = "native"
+        else:
+            substrate = "kernels" if self.fast_path is not None else "reference"
         with tr.span("engine.run", cat="engine", args={
             "dt": opts.dt, "t_final": opts.t_final, "solver": opts.solver,
-            "steps": n_steps, "fast_path": self.fast_path is not None,
+            "steps": n_steps, "substrate": substrate,
         }):
             for _ in range(n_steps):
                 advance()

@@ -707,19 +707,3 @@ class FastPath:
             _fns[step % _h](t)
 
         return run
-
-
-def build_fast_path(sim: "Simulator") -> FastPath:
-    """Plan against the *current* block modes and generate the passes."""
-    from time import perf_counter
-
-    from ..obs.trace import get_tracer
-
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return FastPath(sim, plan_kernels(sim.cm))
-    t0 = perf_counter()
-    plan = plan_kernels(sim.cm)
-    fp = FastPath(sim, plan)
-    tracer.complete("engine.plan_kernels", "engine", t0, args=dict(plan.stats))
-    return fp

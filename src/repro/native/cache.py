@@ -1,15 +1,15 @@
 """Toolchain discovery and the on-disk compile cache.
 
-Artifacts are keyed by ``sha256(doc_hash | TU sha | compiler
-fingerprint | template version)`` — the canonical model-document hash
-(:func:`repro.model.io.model_content_hash`, already process-stable)
-guards against semantically different models colliding, the TU sha
-guards against emitter drift for models that cannot be
-content-addressed, and the compiler fingerprint invalidates artifacts
-across toolchain or architecture changes.  SimServe warm jobs and
-process-pool children therefore ``dlopen`` an existing ``.so`` instead
-of recompiling: the TU is still regenerated in-process (cheap,
-deterministic) and only the compile step is skipped.
+Artifacts are keyed by ``sha256(TU sha | compiler fingerprint)``; the
+fingerprint carries the compiler version, the host architecture and the
+template version, so artifacts never cross a toolchain or emitter
+change.  The TU text is the whole of what the artifact computes: block
+parameters travel in the context (``P``, see :mod:`repro.native.emit`),
+so the TU sha already is the model's structural identity, and every
+design point of one diagram shares one artifact.  SimServe warm jobs,
+new design points and process-pool children therefore ``dlopen`` an
+existing ``.so`` instead of recompiling: the TU is still regenerated
+in-process (cheap, deterministic) and only the compile step is skipped.
 
 Layout under the cache dir (``$REPRO_NATIVE_CACHE`` or
 ``~/.cache/repro-native``): ``<key>.c``, ``<key>.so``, ``<key>.json``
@@ -51,29 +51,31 @@ class ToolchainError(Exception):
 CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
 
 _lock = threading.Lock()
-_cc_memo: Optional[tuple] = None  # (path|None, fingerprint|None)
+#: ``(path,)`` once discovery ran (path ``None``: no usable compiler)
+_discovered: Optional[tuple] = None
+#: resolved compiler path -> its fingerprint (``None``: no version)
+_fingerprints: dict[str, Optional[str]] = {}
 
 
 def find_cc() -> Optional[str]:
     """The C compiler to use, or ``None`` when the host has no
     toolchain.  ``$REPRO_NATIVE_CC`` overrides discovery."""
-    global _cc_memo
+    global _discovered
     override = os.environ.get("REPRO_NATIVE_CC")
-    with _lock:
-        if _cc_memo is not None and not override:
-            return _cc_memo[0]
     if override:
-        path = shutil.which(override)
-        return path  # no memo: the env var may change between calls
+        return shutil.which(override)  # the env var may change between calls
+    with _lock:
+        if _discovered is not None:
+            return _discovered[0]
     path = None
     for cand in ("cc", "gcc", "clang"):
         path = shutil.which(cand)
         if path:
             break
-    fp = _probe_fingerprint(path) if path else None
+    usable = path if path and compiler_fingerprint(path) else None
     with _lock:
-        _cc_memo = (path if fp else None, fp)
-        return _cc_memo[0]
+        _discovered = (usable,)
+    return usable
 
 
 def _probe_fingerprint(cc: str) -> Optional[str]:
@@ -88,17 +90,18 @@ def _probe_fingerprint(cc: str) -> Optional[str]:
 
 
 def compiler_fingerprint(cc: Optional[str] = None) -> Optional[str]:
-    """Version/arch/template string folded into the cache key."""
+    """Version/arch/template string folded into the cache key, probed
+    once per resolved compiler path."""
     cc = cc or find_cc()
     if cc is None:
         return None
-    override = os.environ.get("REPRO_NATIVE_CC")
-    if override:
-        return _probe_fingerprint(cc)
     with _lock:
-        if _cc_memo and _cc_memo[0] == cc:
-            return _cc_memo[1]
-    return _probe_fingerprint(cc)
+        if cc in _fingerprints:
+            return _fingerprints[cc]
+    fp = _probe_fingerprint(cc)
+    with _lock:
+        _fingerprints[cc] = fp
+    return fp
 
 
 def cache_dir() -> str:
@@ -109,23 +112,9 @@ def cache_dir() -> str:
     return d
 
 
-def artifact_key(doc_hash: str, tu_sha: str, fingerprint: str) -> str:
-    text = f"{doc_hash}|{tu_sha}|{fingerprint}"
+def artifact_key(tu_sha: str, fingerprint: str) -> str:
+    text = f"{tu_sha}|{fingerprint}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:40]
-
-
-def doc_hash_for(sim) -> str:
-    """Canonical content hash of the model under its run options, or
-    ``""`` when the diagram cannot be content-addressed (live callables
-    etc. — the TU sha still keys the artifact then)."""
-    from repro.model.io import model_content_hash
-
-    try:
-        return model_content_hash(
-            sim.cm.source, dt=sim.options.dt, solver=sim.options.solver
-        )
-    except Exception:
-        return ""
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +219,7 @@ def _abandon_builds() -> None:
 class _Artifact:
     """Where the artifact for one TU lives and how to build it."""
 
-    def __init__(self, source: str, doc_hash: str):
+    def __init__(self, source: str):
         cc = find_cc()
         if cc is None:
             raise ToolchainError("no C compiler on PATH (cc/gcc/clang)")
@@ -240,9 +229,8 @@ class _Artifact:
         self.cc = cc
         self.fingerprint = fp
         self.source = source
-        self.doc_hash = doc_hash
         self.tu_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
-        self.key = artifact_key(doc_hash, self.tu_sha, fp)
+        self.key = artifact_key(self.tu_sha, fp)
         self.dir = cache_dir()
         self.so_path = os.path.join(self.dir, f"{self.key}.so")
 
@@ -299,7 +287,6 @@ def _build(art: _Artifact, build: _Build) -> None:
         compile_s = perf_counter() - t0
         _count("", compile_s=compile_s)
         _atomic_write(os.path.join(art.dir, f"{art.key}.json"), json.dumps({
-            "doc_hash": art.doc_hash,
             "tu_sha": art.tu_sha,
             "fingerprint": art.fingerprint,
             "compile_s": compile_s,
@@ -316,11 +303,11 @@ def _build(art: _Artifact, build: _Build) -> None:
         build.done.set()
 
 
-def ensure_compiled(source: str, doc_hash: str) -> str:
+def ensure_compiled(source: str) -> str:
     """Return the path of the compiled ``.so`` for ``source``, compiling
-    at most once per (model, toolchain) across processes and threads —
+    at most once per (TU, toolchain) across processes and threads —
     concurrent callers for one key wait for the first one's ``cc``."""
-    art = _Artifact(source, doc_hash)
+    art = _Artifact(source)
     build, leader = _claim(art)
     if build is None:
         _count("hits")
@@ -334,12 +321,12 @@ def ensure_compiled(source: str, doc_hash: str) -> str:
     return art.so_path
 
 
-def reuse_compiled(source: str, doc_hash: str) -> Optional[str]:
+def reuse_compiled(source: str) -> Optional[str]:
     """The ``.so`` for ``source`` if it is already built, else ``None``
     — after making sure a background build of it is running.  Never
     waits for ``cc``.  Raises :class:`ToolchainError` when there is no
     toolchain, or when this process already failed to build the key."""
-    art = _Artifact(source, doc_hash)
+    art = _Artifact(source)
     if os.path.exists(art.so_path):
         _count("hits")
         return art.so_path

@@ -11,8 +11,8 @@ reference interpreter.
 The TU is reentrant: it has no mutable file-scope state.  Every entry
 point takes an ``nx_ctx`` — a struct of pointers to buffers the Python
 executor owns (signals, continuous state, discrete work, integrator
-scratch, held-output slots) — so any number of simulators, on any
-threads, can share one loaded library.  Exported symbols:
+scratch, parameters, held-output slots) — so any number of simulators,
+on any threads, can share one loaded library.  Exported symbols:
 
 ``void nx_out_major(const nx_ctx *c, long long step)`` /
 ``void nx_finish(const nx_ctx *c, long long step)``
@@ -23,9 +23,17 @@ double *scope_out, double *trace_out)``
     The whole-loop executor: ``n`` major steps with scope rows (and
     optionally full signal rows) written per step.
 
-The TU text is deterministic for a given model/options (no timestamps,
-stable iteration orders, exact hex float literals), so it doubles as
-the compile-cache key material and as golden-test content.
+The TU carries structure only.  Every value a template or affine row
+emits (``BlockEmitter.lit``, affine constants and coefficients,
+``const_arr`` tables) becomes a slot of the program's parameter vector
+(:attr:`NativeProgram.params`, one slot per emitted value in emission
+order) that the C code reads as ``P[k]`` through the context; what stays
+in the text is block types, wiring, rates, sizes, ``DT`` and the forms a
+value selects (the ±1/0 affine shortcuts, template branches).  Design
+points of one diagram therefore lower to one TU, and one compiled
+artifact serves them all.  The text is deterministic (no timestamps,
+stable iteration orders), so it doubles as the compile-cache key
+material and as golden-test content.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from repro.model.kernels import AffineRow, AffineRun, BlockEntry, KernelPlan
 
 #: Bump when emitted C changes shape — part of the disk-cache key, so
 #: stale artifacts from older emitters can never be dlopen'ed.
-TEMPLATE_VERSION = "2"
+TEMPLATE_VERSION = "3"
 
 
 class NativeLoweringError(Exception):
@@ -61,13 +69,17 @@ def clit(v: float) -> str:
     return f"({h})" if h.startswith("-") else h
 
 
-def _affine_c(row: AffineRow) -> str:
+def _affine_c(row: AffineRow, tu: "_TU") -> str:
     """C mirror of :func:`repro.model.kernels._affine_expr` — identical
     term order and association (C ``+``/``-`` are left-associative and
-    ``*`` binds tighter, exactly like the Python expression)."""
+    ``*`` binds tighter, exactly like the Python expression).  The
+    constant and every coefficient but ±1 are parameter slots."""
+    def param(v: float) -> str:
+        return tu.param(v, row.qname)
+
     parts: list[str] = []
     if row.const != 0.0 or not row.coeffs:
-        parts.append(clit(row.const))
+        parts.append(param(row.const))
     for c, s in zip(row.coeffs, row.in_sigs):
         ref = f"S[{s}]"
         if not parts:
@@ -76,22 +88,23 @@ def _affine_c(row: AffineRow) -> str:
             elif c == -1.0:
                 parts.append(f"-{ref}")
             else:
-                parts.append(f"{clit(c)} * {ref}")
+                parts.append(f"{param(c)} * {ref}")
         elif c == 1.0:
             parts.append(f"+ {ref}")
         elif c == -1.0:
             parts.append(f"- {ref}")
         else:
-            parts.append(f"+ {clit(c)} * {ref}")
+            parts.append(f"+ {param(c)} * {ref}")
     return " ".join(parts)
 
 
 class BlockEmitter:
     """Per-block emission context handed to native templates."""
 
-    def __init__(self, tu: "_TU", in_sigs, out_sigs, dwork_off, state_off,
-                 held=None):
+    def __init__(self, tu: "_TU", qname, in_sigs, out_sigs, dwork_off,
+                 state_off, held=None):
         self._tu = tu
+        self._qname = qname
         self._in = in_sigs
         self._out = out_sigs
         self._dw = dwork_off  # field -> absolute DW index
@@ -128,7 +141,8 @@ class BlockEmitter:
         return f"c->H[{k}][{i}]"
 
     def lit(self, v: float) -> str:
-        return clit(v)
+        """A block parameter: a new ``P`` slot holding ``v``."""
+        return self._tu.param(v, self._qname)
 
     def tmp(self) -> str:
         self._tu.n_tmp += 1
@@ -138,25 +152,31 @@ class BlockEmitter:
         self.lines.append(s)
 
     def const_arr(self, values) -> str:
-        return self._tu.const_arr(values)
+        """A parameter table: consecutive ``P`` slots, indexable as
+        ``<expr>[i]``."""
+        first = len(self._tu.params)
+        for v in values:
+            self._tu.param(v, self._qname)
+        return f"(P + {first})"
 
 
 @dataclass
 class _TU:
-    arrays: list = field(default_factory=list)  # (name, values)
+    params: list = field(default_factory=list)  # P[k] values
+    owners: list = field(default_factory=list)  # the qname behind each slot
     n_tmp: int = 0
 
-    def const_arr(self, values) -> str:
-        name = f"CA{len(self.arrays)}"
-        self.arrays.append((name, [float(v) for v in values]))
-        return name
+    def param(self, v: float, qname: str) -> str:
+        self.params.append(float(v))
+        self.owners.append(qname)
+        return f"P[{len(self.params) - 1}]"
 
 
 @dataclass
 class NativeProgram:
     """A lowered model: the TU text plus everything the executor needs
-    to bind it (sizes, scope gather order, this run's discrete-state
-    init vector)."""
+    to bind it (sizes, scope gather order, this run's parameter vector
+    and discrete-state init vector)."""
 
     source: str
     n_signals: int
@@ -164,8 +184,20 @@ class NativeProgram:
     n_dwork: int
     scope_sigs: list[int]
     dwork_init: list[float]
+    #: the values the TU reads as ``P[k]``
+    params: list[float] = field(default_factory=list)
+    #: the qname that emitted each ``P`` slot
+    param_owners: list[str] = field(default_factory=list)
     #: block-owned float64 buffers the context borrows as ``H[k]``
     held: list = field(default_factory=list)
+
+    def listing(self) -> str:
+        """The TU followed by its parameter vector as a C comment — every
+        number of the run, for reading and diffing (the cache key hashes
+        :attr:`source` alone)."""
+        rows = [f"/* P[{k}] = {v.hex()}  {q} */"
+                for k, (v, q) in enumerate(zip(self.params, self.param_owners))]
+        return self.source + "".join(f"{r}\n" for r in rows)
 
 
 def _block_chunk(qname, tpl, method, block, em) -> list[str]:
@@ -253,14 +285,14 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         block, _tpl, offs, slot = recs[qname]
         in_sigs = tuple(cm.input_map[qname])
         out_sigs = tuple(cm.sig_index[(qname, p)] for p in range(block.n_out))
-        return BlockEmitter(tu, in_sigs, out_sigs, offs,
+        return BlockEmitter(tu, qname, in_sigs, out_sigs, offs,
                             cm.state_offset[qname], slot)
 
     # ---- major output pass ----------------------------------------------
     out_lines: list[str] = []
     for entry in plan.entries:
         if isinstance(entry, AffineRun):
-            rows = [f"  S[{r.out_sig}] = {_affine_c(r)};" for r in entry.rows]
+            rows = [f"  S[{r.out_sig}] = {_affine_c(r, tu)};" for r in entry.rows]
             out_lines += _guarded(entry.divisor, rows)
             continue
         block, tpl = recs[entry.qname][:2]
@@ -272,7 +304,7 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
     for qname in plan.minor_qnames:
         rows = plan.affine_rows.get(qname)
         if rows is not None:
-            minor_lines += [f"  S[{r.out_sig}] = {_affine_c(r)};" for r in rows]
+            minor_lines += [f"  S[{r.out_sig}] = {_affine_c(r, tu)};" for r in rows]
             continue
         block, tpl = recs[qname][:2]
         minor_lines += _block_chunk(qname, tpl, "outputs", block, emitter(qname))
@@ -308,7 +340,7 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
     src = _render(
         cm=cm,
         sim=sim,
-        tu=tu,
+        n_params=len(tu.params),
         n_dwork=n_dwork,
         n_held=len(held),
         scope_sigs=scope_sigs,
@@ -324,11 +356,13 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         n_dwork=n_dwork,
         scope_sigs=scope_sigs,
         dwork_init=dwork_init,
+        params=tu.params,
+        param_owners=tu.owners,
         held=held,
     )
 
 
-def _render(cm, sim, tu, n_dwork, n_held, scope_sigs, out_lines,
+def _render(cm, sim, n_params, n_dwork, n_held, scope_sigs, out_lines,
             minor_lines, upd_lines, deriv_lines) -> str:
     opts = sim.options
     n_states = cm.n_states
@@ -348,6 +382,7 @@ def _render(cm, sim, tu, n_dwork, n_held, scope_sigs, out_lines,
     w(f"#define NSIG {n_sigs}")
     w(f"#define NSTATE {n_states}")
     w(f"#define NDW {n_dwork}")
+    w(f"#define NPARAM {n_params}")
     w(f"#define NHELD {n_held}")
     w("")
     w("/* Per-instance context.  Every buffer is owned by the caller and only")
@@ -358,18 +393,15 @@ def _render(cm, sim, tu, n_dwork, n_held, scope_sigs, out_lines,
     w("  double *X;   /* continuous state [NSTATE] */")
     w("  double *DW;  /* discrete work [NDW] */")
     w("  double *W;   /* integrator scratch [5 * NSTATE]: X0 K1 K2 K3 K4 */")
+    w("  const double *P;  /* block parameters [NPARAM] */")
     w(f"  double *H[{max(1, n_held)}];  /* held outputs, written between steps */")
     w("} nx_ctx;")
     w("")
     w("#define NX_LOCALS \\")
     w("  double *S = c->S; double *X = c->X; double *DW = c->DW; \\")
-    w("  (void)S; (void)X; (void)DW")
+    w("  const double *P = c->P; \\")
+    w("  (void)S; (void)X; (void)DW; (void)P")
     w("")
-    for aname, values in tu.arrays:
-        body = ", ".join(clit(v) for v in values)
-        w(f"static const double {aname}[{len(values)}] = {{ {body} }};")
-    if tu.arrays:
-        w("")
     w("static void out_major(const nx_ctx *c, long long step, double t)")
     w("{")
     w("  NX_LOCALS;")

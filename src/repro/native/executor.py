@@ -8,7 +8,9 @@ simulator from
 * the engine's signal and state vectors, *borrowed* — every value the
   C loop writes is immediately visible to Python (co-simulation taps,
   scope logging, the step hook) without copies;
-* this instance's discrete work and integrator scratch, allocated here;
+* this instance's parameter vector (``NativeProgram.params``), discrete
+  work and integrator scratch, allocated here — so simulators of
+  different design points share one artifact;
 * the held-output arrays blocks expose (``NativeProgram.held``),
   borrowed, so a harness writes actuation into one buffer whichever
   executor runs the plant.
@@ -26,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-#: ``nx_ctx`` field order: S, X, DW, W, then the held table H[...]
-_CTX_FIXED = 4
+#: ``nx_ctx`` field order: S, X, DW, W, P, then the held table H[...]
+_CTX_FIXED = 5
 
 _libs: dict[str, ctypes.CDLL] = {}
 _libs_lock = threading.Lock()
@@ -35,7 +37,8 @@ _libs_lock = threading.Lock()
 
 def load_library(so_path: str) -> ctypes.CDLL:
     """The process-wide handle for ``so_path``, opened on first use.
-    Artifact paths are content-addressed, so one path is one TU."""
+    Artifact paths are content-addressed, so one path is one TU (one
+    model structure, whatever its parameter values)."""
     with _libs_lock:
         lib = _libs.get(so_path)
         if lib is None:
@@ -83,11 +86,13 @@ class NativePath:
         self.lib = lib = load_library(so_path)
         dwork = np.array(program.dwork_init or [0.0], dtype=np.float64)
         work = np.zeros(5 * max(1, program.n_states))
+        params = np.array(program.params or [0.0], dtype=np.float64)
         held = list(program.held) or [None]
         #: every buffer the context points into, kept alive with it
-        self._buffers = (signals, states, dwork, work, *held)
+        self._buffers = (signals, states, dwork, work, params, *held)
         states = states if program.n_states else None
-        addrs = [_addr(signals), _addr(states), _addr(dwork), _addr(work)]
+        addrs = [_addr(signals), _addr(states), _addr(dwork), _addr(work),
+                 _addr(params)]
         addrs += [_addr(b) for b in held]
         self._ctx = (ctypes.c_void_p * (_CTX_FIXED + len(held)))(*addrs)
         ctx = ctypes.addressof(self._ctx)

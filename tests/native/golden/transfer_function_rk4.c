@@ -1,6 +1,6 @@
 /* generated by repro.native — do not edit
  * model: h
- * dt: 0.001  solver: rk4  template: v2
+ * dt: 0.001  solver: rk4  template: v3
  * bit-exact mirror of repro.model.engine reference passes
  */
 #include <math.h>
@@ -10,6 +10,7 @@
 #define NSIG 4
 #define NSTATE 1
 #define NDW 0
+#define NPARAM 15
 #define NHELD 0
 
 /* Per-instance context.  Every buffer is owned by the caller and only
@@ -20,12 +21,14 @@ typedef struct {
   double *X;   /* continuous state [NSTATE] */
   double *DW;  /* discrete work [NDW] */
   double *W;   /* integrator scratch [5 * NSTATE]: X0 K1 K2 K3 K4 */
+  const double *P;  /* block parameters [NPARAM] */
   double *H[1];  /* held outputs, written between steps */
 } nx_ctx;
 
 #define NX_LOCALS \
   double *S = c->S; double *X = c->X; double *DW = c->DW; \
-  (void)S; (void)X; (void)DW
+  const double *P = c->P; \
+  (void)S; (void)X; (void)DW; (void)P
 
 static void out_major(const nx_ctx *c, long long step, double t)
 {
@@ -34,15 +37,15 @@ static void out_major(const nx_ctx *c, long long step, double t)
   { /* b */
     double v1 = X[0];
     double v2 = S[1];
-    S[0] = 0x1.9000000000000p+6 * v1 + 0x0.0p+0 * v2;
+    S[0] = P[0] * v1 + P[1] * v2;
   }
   { /* d0 */
-    S[1] = 0x0.0p+0 + 0x1.0000000000000p+1 * sin(0x1.3a28c59d5433bp+7 * t + 0x0.0p+0);
+    S[1] = P[2] + P[3] * sin(P[4] * t + P[5]);
   }
   { /* d1 */
     S[2] = t;
   }
-  S[3] = 0x1.0000000000000p-1;
+  S[3] = P[6];
 }
 
 static void out_minor(const nx_ctx *c, double t)
@@ -52,10 +55,10 @@ static void out_minor(const nx_ctx *c, double t)
   { /* b */
     double v3 = X[0];
     double v4 = S[1];
-    S[0] = 0x1.9000000000000p+6 * v3 + 0x0.0p+0 * v4;
+    S[0] = P[7] * v3 + P[8] * v4;
   }
   { /* d0 */
-    S[1] = 0x0.0p+0 + 0x1.0000000000000p+1 * sin(0x1.3a28c59d5433bp+7 * t + 0x0.0p+0);
+    S[1] = P[9] + P[10] * sin(P[11] * t + P[12]);
   }
   { /* d1 */
     S[2] = t;
@@ -73,7 +76,7 @@ static void deriv(const nx_ctx *c, double t, double *XD)
   NX_LOCALS;
   (void)t;
   { /* b */
-    XD[0] = (-0x1.9000000000000p+6) * X[0] + 0x1.0000000000000p+0 * S[1];
+    XD[0] = P[13] * X[0] + P[14] * S[1];
   }
 }
 
@@ -126,3 +129,18 @@ void nx_run(const nx_ctx *c, long long start, long long n, double *scope_out, do
     integrate(c, t);
   }
 }
+/* P[0] = 0x1.9000000000000p+6  b */
+/* P[1] = 0x0.0p+0  b */
+/* P[2] = 0x0.0p+0  d0 */
+/* P[3] = 0x1.0000000000000p+1  d0 */
+/* P[4] = 0x1.3a28c59d5433bp+7  d0 */
+/* P[5] = 0x0.0p+0  d0 */
+/* P[6] = 0x1.0000000000000p-1  d2 */
+/* P[7] = 0x1.9000000000000p+6  b */
+/* P[8] = 0x0.0p+0  b */
+/* P[9] = 0x0.0p+0  d0 */
+/* P[10] = 0x1.0000000000000p+1  d0 */
+/* P[11] = 0x1.3a28c59d5433bp+7  d0 */
+/* P[12] = 0x0.0p+0  d0 */
+/* P[13] = -0x1.9000000000000p+6  b */
+/* P[14] = 0x1.0000000000000p+0  b */

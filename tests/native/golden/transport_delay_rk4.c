@@ -1,6 +1,6 @@
 /* generated by repro.native — do not edit
  * model: h
- * dt: 0.001  solver: rk4  template: v2
+ * dt: 0.001  solver: rk4  template: v3
  * bit-exact mirror of repro.model.engine reference passes
  */
 #include <math.h>
@@ -10,6 +10,7 @@
 #define NSIG 4
 #define NSTATE 0
 #define NDW 4
+#define NPARAM 9
 #define NHELD 0
 
 /* Per-instance context.  Every buffer is owned by the caller and only
@@ -20,12 +21,14 @@ typedef struct {
   double *X;   /* continuous state [NSTATE] */
   double *DW;  /* discrete work [NDW] */
   double *W;   /* integrator scratch [5 * NSTATE]: X0 K1 K2 K3 K4 */
+  const double *P;  /* block parameters [NPARAM] */
   double *H[1];  /* held outputs, written between steps */
 } nx_ctx;
 
 #define NX_LOCALS \
   double *S = c->S; double *X = c->X; double *DW = c->DW; \
-  (void)S; (void)X; (void)DW
+  const double *P = c->P; \
+  (void)S; (void)X; (void)DW; (void)P
 
 static void out_major(const nx_ctx *c, long long step, double t)
 {
@@ -38,12 +41,12 @@ static void out_major(const nx_ctx *c, long long step, double t)
     }
   }
   { /* d0 */
-    S[1] = 0x0.0p+0 + 0x1.0000000000000p+1 * sin(0x1.3a28c59d5433bp+7 * t + 0x0.0p+0);
+    S[1] = P[0] + P[1] * sin(P[2] * t + P[3]);
   }
   { /* d1 */
     S[2] = t;
   }
-  S[3] = 0x1.0000000000000p-1;
+  S[3] = P[4];
 }
 
 static void out_minor(const nx_ctx *c, double t)
@@ -51,7 +54,7 @@ static void out_minor(const nx_ctx *c, double t)
   NX_LOCALS;
   (void)t;
   { /* d0 */
-    S[1] = 0x0.0p+0 + 0x1.0000000000000p+1 * sin(0x1.3a28c59d5433bp+7 * t + 0x0.0p+0);
+    S[1] = P[5] + P[6] * sin(P[7] * t + P[8]);
   }
   { /* d1 */
     S[2] = t;
@@ -104,3 +107,12 @@ void nx_run(const nx_ctx *c, long long start, long long n, double *scope_out, do
     integrate(c, t);
   }
 }
+/* P[0] = 0x0.0p+0  d0 */
+/* P[1] = 0x1.0000000000000p+1  d0 */
+/* P[2] = 0x1.3a28c59d5433bp+7  d0 */
+/* P[3] = 0x0.0p+0  d0 */
+/* P[4] = 0x1.0000000000000p-1  d2 */
+/* P[5] = 0x0.0p+0  d0 */
+/* P[6] = 0x1.0000000000000p+1  d0 */
+/* P[7] = 0x1.3a28c59d5433bp+7  d0 */
+/* P[8] = 0x0.0p+0  d0 */

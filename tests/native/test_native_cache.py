@@ -79,13 +79,13 @@ class TestSingleFlight:
         calls = _count_cc(monkeypatch, gate)
         source = generate_tu(_sim(False))
         try:
-            assert cache.reuse_compiled(source, "") is None
-            assert cache.reuse_compiled(source, "") is None
+            assert cache.reuse_compiled(source) is None
+            assert cache.reuse_compiled(source) is None
         finally:
             gate.set()
         assert cache.wait_pending(60)
         assert len(calls) == 1
-        path = cache.reuse_compiled(source, "")
+        path = cache.reuse_compiled(source)
         assert path is not None and os.path.exists(path)
 
     def test_failed_background_build_is_reported_not_rerun(
@@ -111,8 +111,31 @@ class TestSingleFlight:
         assert len(calls) == 1
 
 
+class TestFingerprint:
+    def test_override_probes_the_compiler_once(self, tmp_path, monkeypatch):
+        """``$REPRO_NATIVE_CC`` may change between calls, so the override
+        is resolved per bind — but its fingerprint is probed once per
+        resolved path, not on every cache hit."""
+        require_cc()
+        log = tmp_path / "probes.log"
+        wrapper = tmp_path / "cc-wrapper"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            f'[ "$1" = "--version" ] && echo probe >> {log}\n'
+            f'exec {find_cc()} "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("REPRO_NATIVE_CC", str(wrapper))
+        n = 4
+        for _ in range(n):
+            sim = _sim(True)
+            sim.initialize()
+            assert sim.native_active, sim.native_fallback_reason
+        assert log.read_text().splitlines() == ["probe"]
+
+
 def _child_builds(source):
-    path = cache.ensure_compiled(source, "")
+    path = cache.ensure_compiled(source)
     os._exit(0 if os.path.exists(path) else 3)
 
 
@@ -123,7 +146,7 @@ class TestFork:
         calls = _count_cc(monkeypatch, gate)
         source = generate_tu(_sim(False))
         leader = threading.Thread(target=cache.ensure_compiled,
-                                  args=(source, ""))
+                                  args=(source,))
         leader.start()
         try:
             deadline = time.monotonic() + 30
@@ -156,7 +179,7 @@ import sys, time
 sys.path.insert(0, sys.argv[1])
 from repro.native import cache
 with open(sys.argv[2]) as f:
-    assert cache.reuse_compiled(f.read(), "") is None
+    assert cache.reuse_compiled(f.read()) is None
 deadline = time.monotonic() + 30
 while not cache._procs and time.monotonic() < deadline:
     time.sleep(0.01)

@@ -1,12 +1,14 @@
 """Simulators sharing one native artifact must not disturb each other.
 
-The generated translation unit keeps every mutable buffer in a
-per-instance context (``nx_ctx``) that Python owns, and each artifact is
-opened once per process.  Two native simulators of one model therefore
-share a library handle but nothing they write: stepped interleaved on
-one thread, or run from two threads at once, each must equal its own
-reference run at atol=0.  The two runs differ in length and start
-staggered, so a shared buffer would show up as a divergence.
+The generated translation unit keeps every mutable buffer, and every
+block parameter, in a per-instance context (``nx_ctx``) that Python
+owns, and each artifact is opened once per process.  Two native
+simulators of two design points of one model therefore share a library
+handle but nothing they write or read as a parameter: stepped
+interleaved on one thread, or run from two threads at once, each must
+equal its own reference run at atol=0.  The two runs differ in setpoint,
+PID bandwidth and length and start staggered, so a shared buffer or a
+mis-bound parameter vector would show up as a divergence.
 """
 
 from repro.model import Simulator, SimulationOptions
@@ -15,14 +17,17 @@ from tests.native.conftest import require_cc, run_threads
 from tests.native.test_native_equivalence import assert_identical
 
 DT = 1e-4
-#: (t_final, steps the run is held back at the start)
-RUNS = ((0.05, 0), (0.08, 7))
+#: ((setpoint, PID bandwidth), t_final, steps the run is held back at
+#: the start)
+RUNS = (((100.0, 6.0), 0.05, 0), ((70.0, 9.0), 0.08, 7))
 
 
-def servo_model():
+def servo_model(point):
     from repro.casestudy import ServoConfig, build_servo_model
 
-    return build_servo_model(ServoConfig(setpoint=100.0)).model
+    setpoint, bandwidth_hz = point
+    return build_servo_model(
+        ServoConfig(setpoint=setpoint, bandwidth_hz=bandwidth_hz)).model
 
 
 def options(t_final, native):
@@ -30,18 +35,20 @@ def options(t_final, native):
                              use_kernels=native, log_all_signals=True)
 
 
-def reference(t_final):
-    return Simulator(servo_model().compile(DT), options(t_final, False)).run()
+def reference(point, t_final):
+    return Simulator(servo_model(point).compile(DT),
+                     options(t_final, False)).run()
 
 
 def bound_pair():
     sims = []
-    for t_final, _lag in RUNS:
-        sim = Simulator(servo_model().compile(DT), options(t_final, True))
+    for point, t_final, _lag in RUNS:
+        sim = Simulator(servo_model(point).compile(DT), options(t_final, True))
         sim.initialize()
         assert sim.native_active, sim.native_fallback_reason
         sims.append(sim)
     a, b = (s.native_path for s in sims)
+    assert a.program.params != b.program.params
     assert a.so_path == b.so_path
     assert a.lib is b.lib  # one handle per artifact per process
     return sims
@@ -57,8 +64,8 @@ def step_all(sim):
 
 
 def check_against_references(sims):
-    for sim, (t_final, _lag) in zip(sims, RUNS):
-        assert_identical(reference(t_final), sim.result())
+    for sim, (point, t_final, _lag) in zip(sims, RUNS):
+        assert_identical(reference(point, t_final), sim.result())
 
 
 class TestSharedArtifact:
@@ -68,7 +75,7 @@ class TestSharedArtifact:
         left = [n_steps(s) for s in sims]
         tick = 0
         while any(left):
-            for k, (sim, (_t, lag)) in enumerate(zip(sims, RUNS)):
+            for k, (sim, (_p, _t, lag)) in enumerate(zip(sims, RUNS)):
                 if left[k] and tick >= lag:
                     sim.advance()
                     left[k] -= 1
@@ -92,5 +99,5 @@ class TestSharedArtifact:
             results[k] = sims[k].run()
 
         run_threads([(run, k) for k in range(2)])
-        for res, (t_final, _lag) in zip(results, RUNS):
-            assert_identical(reference(t_final), res)
+        for res, (point, t_final, _lag) in zip(results, RUNS):
+            assert_identical(reference(point, t_final), res)

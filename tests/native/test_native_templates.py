@@ -2,8 +2,10 @@
 
 The generated translation unit is a *deterministic* function of the
 compiled model + options: same doc, same dt, same solver -> the same
-bytes.  The goldens under ``tests/native/golden/`` pin that contract so
-template edits show up as a reviewable C diff (regenerate with
+bytes.  The goldens under ``tests/native/golden/`` pin that contract —
+the TU followed by its parameter vector, as ``python -m repro.codegen
+dump`` prints them — so template edits show up as a reviewable C diff
+(regenerate with
 ``REPRO_UPDATE_GOLDEN=1 pytest tests/native/test_native_templates.py``)
 — and remind you to bump ``TEMPLATE_VERSION`` so cached ``.so`` files
 are invalidated.
@@ -79,9 +81,9 @@ class TestGolden:
         assert f"template: v{TEMPLATE_VERSION}" in tu
         for sym in ("nx_ctx", "nx_out_major", "nx_finish", "nx_run"):
             assert sym in tu
-        # reentrant: no mutable file-scope state (only const tables)
+        # reentrant: no file-scope state, parameter tables included
         assert not [ln for ln in tu.splitlines()
-                    if ln.startswith("static double")]
+                    if ln.startswith(("static double", "static const"))]
 
 
 class TestHeldOutputs:
