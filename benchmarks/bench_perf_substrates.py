@@ -36,9 +36,11 @@ def test_perf_engine_steps_reference(benchmark):
     sm = build_servo_model(ServoConfig(setpoint=100.0))
     sim = Simulator(
         sm.model,
-        SimulationOptions(dt=1e-4, t_final=10.0, use_kernels=False),
+        SimulationOptions(dt=1e-4, t_final=10.0, use_kernels=False,
+                          native=False),
     )
     sim.initialize()
+    assert not sim.native_active and sim.fast_path is None
 
     def run_1000_steps():
         for _ in range(1000):

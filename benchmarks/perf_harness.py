@@ -61,9 +61,10 @@ MAX_OPS_OVERHEAD_PCT = 5.0
 #: because both sides run in the same process
 MIN_BATCH_SPEEDUP = 3.0
 
-#: continuous batching must beat serially-scheduled identical jobs by at
-#: least this factor at 16 staggered submissions — the PR-7 acceptance
-#: floor (same process, same worker count, so the ratio is structural)
+#: continuous batching must beat serially-scheduled identical jobs on
+#: the Python kernel path by at least this factor at 16 staggered
+#: submissions — the PR-7 acceptance floor (same process, same worker
+#: count, so the ratio is structural)
 MIN_COALESCE_SPEEDUP = 2.0
 
 #: the native C extension must beat the Python kernel fast path on the
@@ -285,11 +286,21 @@ def bench_continuous_batching(n_jobs: int = 16, t_final: float = 0.4) -> dict:
     the batch engine rather than the per-lane residue of a particular
     model (the servo's lane block caps B=16 engine speedup near the
     gate; ``bench_batch_ensemble`` still covers that mixed shape).
+
+    The gated serial leg runs under ``REPRO_NATIVE=off``: its opponent
+    is the serial Python kernel path the floor was calibrated on, while
+    a short MIL job binds the native artifact once it is built.  The
+    same serial jobs on that artifact are reported ungated
+    (``serial_native_s``, ``coalesced_vs_serial_native``).
     """
+    import os
+    from unittest import mock
+
     import numpy as np
 
     from repro.model import Model, SimulationOptions, Simulator
     from repro.model.library import Constant, Gain, Integrator, Scope, Sum
+    from repro.native import wait_pending
     from repro.service import CoalesceConfig, MILRequest, SimServe
 
     def build_loop() -> Model:
@@ -324,14 +335,21 @@ def bench_continuous_batching(n_jobs: int = 16, t_final: float = 0.4) -> dict:
         assert svc.wait_all(handles, timeout=600.0)
         return handles, time.perf_counter() - t0
 
+    def serial_leg() -> float:
+        best = float("inf")
+        for _ in range(2):
+            with SimServe(workers=1, coalesce=False) as svc:
+                _, elapsed = submit_staggered(svc)
+            best = min(best, elapsed)
+        return best
+
     # best-of-N on each side: the gated quantity is a ratio of two
     # multi-second wall times, so one scheduler hiccup on either side
     # would swing it well past the acceptance floor
-    serial_s = float("inf")
-    for _ in range(2):
-        with SimServe(workers=1, coalesce=False) as svc:
-            _, elapsed = submit_staggered(svc)
-        serial_s = min(serial_s, elapsed)
+    with mock.patch.dict(os.environ, REPRO_NATIVE="off"):
+        serial_s = serial_leg()
+    wait_pending()  # the reference run above started the artifact build
+    serial_native_s = serial_leg()
     cfg = CoalesceConfig(max_batch=n_jobs, window_s=0.04)
     coalesced_s = float("inf")
     for _ in range(3):
@@ -352,8 +370,10 @@ def bench_continuous_batching(n_jobs: int = 16, t_final: float = 0.4) -> dict:
     return {
         "jobs": n_jobs,
         "serial_s": serial_s,
+        "serial_native_s": serial_native_s,
         "coalesced_s": coalesced_s,
         "coalesced_speedup": serial_s / coalesced_s,
+        "coalesced_vs_serial_native": serial_native_s / coalesced_s,
         "coalesced_jobs_per_s": n_jobs / coalesced_s,
         "batches": snap["coalesce"]["batches"],
         "coalesced_jobs": snap["coalesce"]["jobs"],
@@ -1048,7 +1068,9 @@ def main(argv=None) -> int:
         print(
             f"coalesce: {cb['coalesced_speedup']:.2f}x over serial scheduling "
             f"({cb['jobs']} staggered jobs -> {cb['batches']} vector job(s), "
-            f"max width {cb['max_width']}, bit_identical={cb['bit_identical']})"
+            f"max width {cb['max_width']}, bit_identical={cb['bit_identical']}); "
+            f"{cb['coalesced_vs_serial_native']:.2f}x over serial native "
+            f"jobs (ungated)"
         )
     if "compaction" in fresh:
         comp = fresh["compaction"]

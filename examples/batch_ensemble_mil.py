@@ -57,7 +57,8 @@ def main() -> None:
                 setattr(cm.nodes[qname], attr, value)
         serial.append(
             Simulator(
-                cm, SimulationOptions(dt=DT, t_final=T_FINAL, use_kernels=True)
+                cm, SimulationOptions(dt=DT, t_final=T_FINAL, use_kernels=True,
+                                      native=False)
             ).run()
         )
     serial_s = time.perf_counter() - t0

@@ -15,7 +15,6 @@ simulation or RTW build:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .block import Block, SampleTime
 from .diagnostics import (
@@ -67,12 +66,6 @@ class CompiledModel:
     state_count: dict[str, int] = field(default_factory=dict)
     n_states: int = 0
     event_targets: dict[tuple[str, int], list[str]] = field(default_factory=dict)
-    #: kernel execution plan (see :mod:`repro.model.kernels`), attached by
-    #: :meth:`build`.  The simulator re-plans at ``initialize`` because PE
-    #: peripheral blocks can switch mode (MIL/PIL/HW) after compilation;
-    #: this copy reflects the model as built and feeds diagnostics.
-    kernel_plan: Optional[object] = None
-    kernel_plan_error: Optional[str] = None
     #: memo of generated kernel-pass code objects keyed by source text.
     #: The generated source depends only on the compiled model (signal
     #: indices, divisors, schedule) — per-simulator state binds through
@@ -97,19 +90,7 @@ class CompiledModel:
         cm._allocate(conns)
         cm._wire_events(events)
         cm._compile_atomic_children()
-        cm._plan_kernels()
         return cm
-
-    def _plan_kernels(self) -> None:
-        """Best-effort kernel-planning pass; a plan failure only means the
-        simulator runs the reference interpreter."""
-        from .kernels import plan_kernels
-
-        try:
-            self.kernel_plan = plan_kernels(self)
-        except Exception as exc:  # planning must never break a build
-            self.kernel_plan = None
-            self.kernel_plan_error = str(exc)
 
     # ------------------------------------------------------------------
     def _validate_connections(self, conns: list[tuple[str, int, str, int]]) -> None:

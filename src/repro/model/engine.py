@@ -60,12 +60,12 @@ class SimulationOptions:
     #: use the compiled kernel fast path when the model supports it
     use_kernels: bool = True
     #: compile the model to a native C extension and run the step loop
-    #: there: ``True`` forces it, ``False`` disables it, ``"auto"``
-    #: (default) engages only when the run is big enough to amortize the
-    #: compile/dlopen cost, ``"reuse"`` binds whenever the artifact is
-    #: already built and otherwise runs on Python while a background
-    #: build makes it (never waits for ``cc``; the PIL plant's policy).
-    #: ``$REPRO_NATIVE`` (off/on/auto) overrides.
+    #: there: ``True`` forces it, ``False`` disables it, ``"reuse"``
+    #: binds whenever the artifact is already built and otherwise runs
+    #: on Python while a background build makes it (never waits for
+    #: ``cc``; the PIL plant's policy), ``"auto"`` (default) acts as
+    #: ``"reuse"`` below :data:`NATIVE_AUTO_THRESHOLD` and waits for the
+    #: build at or above it.  ``$REPRO_NATIVE`` (off/on/auto) overrides.
     native: Union[bool, str] = "auto"
 
     def __post_init__(self) -> None:
@@ -77,9 +77,9 @@ class SimulationOptions:
             raise ValueError("native must be True, False, 'auto' or 'reuse'")
 
 
-#: minimum estimated block-steps (steps x scheduled blocks) before
-#: ``native="auto"`` bothers compiling; override with
-#: ``$REPRO_NATIVE_THRESHOLD``
+#: estimated block-steps (steps x scheduled blocks) from which
+#: ``native="auto"`` waits for a cold artifact's compile rather than
+#: running on Python while it builds in the background
 NATIVE_AUTO_THRESHOLD = 100_000
 
 
@@ -280,21 +280,15 @@ class Simulator:
         """Lower ``plan`` to C, compile (or reuse the disk cache), and
         take over the step loop — or record why not and leave the Python
         paths to :meth:`_bind_fast_path`.  The fallback ladder: disabled
-        -> below_auto_threshold -> plan_refused -> toolchain_missing ->
-        compile_pending (``"reuse"`` only) -> compile_error."""
+        -> plan_refused -> toolchain_missing -> compile_pending (a
+        ``"reuse"`` bind, or a short ``"auto"`` one) -> compile_error."""
         if mode is False:
             self._native_fallback("disabled")
             return False
         if mode == "auto":
             n_steps = int(round(self.options.t_final / self.options.dt)) + 1
-            work = n_steps * max(1, len(self._sched))
-            threshold = int(
-                os.environ.get("REPRO_NATIVE_THRESHOLD", "")
-                or NATIVE_AUTO_THRESHOLD
-            )
-            if work < threshold:
-                self._native_fallback("below_auto_threshold")
-                return False
+            if n_steps * max(1, len(self._sched)) < NATIVE_AUTO_THRESHOLD:
+                mode = "reuse"
         from ..native import (
             NativeLoweringError,
             NativePath,

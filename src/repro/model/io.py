@@ -16,6 +16,7 @@ format, only declarative content persists.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -45,21 +46,27 @@ def register_block_class(
         _EXTRACTORS[cls] = extractor
 
 
+@functools.cache
+def _ctor_params(cls: Type[Block]) -> tuple[str, ...]:
+    """The constructor keyword names of ``cls`` (memoized per class)."""
+    return tuple(
+        pname for pname, p in inspect.signature(cls.__init__).parameters.items()
+        if pname not in ("self", "name")
+        and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+    )
+
+
 def _default_extract(block: Block) -> dict:
     """Pull constructor kwargs back off same-named attributes."""
-    sig = inspect.signature(type(block).__init__)
     params: dict[str, Any] = {}
-    for pname, p in sig.parameters.items():
-        if pname in ("self", "name") or p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD):
-            continue
+    for pname in _ctor_params(type(block)):
         if not hasattr(block, pname):
             raise ModelError(
                 f"cannot serialise block type {type(block).__name__}: "
                 f"constructor parameter '{pname}' is not a stored attribute "
                 "(register an explicit extractor)"
             )
-        value = getattr(block, pname)
-        params[pname] = value
+        params[pname] = getattr(block, pname)
     return params
 
 

@@ -32,6 +32,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import subprocess
 import tempfile
 import threading
@@ -185,6 +186,8 @@ _inflight: dict[str, _Build] = {}
 _failed: dict[str, str] = {}
 #: running ``cc`` processes -> their temp output, killed at exit
 _procs: dict = {}
+#: set at interpreter exit: from then on no build starts ``cc``
+_exiting = False
 
 
 def _reset_after_fork() -> None:
@@ -204,11 +207,15 @@ os.register_at_fork(after_in_child=_reset_after_fork)
 
 @atexit.register
 def _abandon_builds() -> None:
+    global _exiting
     with _builds_lock:
+        _exiting = True
         procs = list(_procs.items())
     for proc, tmp_so in procs:
         try:
-            proc.kill()
+            # the whole group: ``cc`` (which removes its temp files on
+            # SIGTERM) and the ``cc1``/``as`` passes it started
+            os.killpg(proc.pid, signal.SIGTERM)
             proc.wait(timeout=5)
         except (OSError, subprocess.TimeoutExpired):
             pass  # already gone, or stuck: nothing more to do at exit
@@ -249,15 +256,21 @@ def _claim(art: _Artifact) -> tuple[Optional[_Build], bool]:
 
 
 def _run_cc(argv: list, tmp_so: str) -> tuple[int, str]:
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
+    # started and registered under the lock that exit takes, so every
+    # ``cc`` either is killed at exit or never starts; in its own
+    # process group, so that kill reaches the passes ``cc`` started
     with _builds_lock:
+        if _exiting:
+            raise ToolchainError("interpreter exiting; build abandoned")
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
         _procs[proc] = tmp_so
     try:
         try:
             out, err = proc.communicate(timeout=120)
         except subprocess.TimeoutExpired:
-            proc.kill()
+            os.killpg(proc.pid, signal.SIGKILL)
             out, err = proc.communicate()
     finally:
         with _builds_lock:

@@ -1,7 +1,7 @@
 """Compiled-model cache: the "load once, serve many" half of SimServe.
 
 ``CompiledModel.build`` — flattening, validation, topological sort,
-allocation, kernel planning — dominates the end-to-end latency of short
+allocation — dominates the end-to-end latency of short
 simulation jobs, and the PEERT workflow resubmits the *same* diagram over
 and over (every MIL validation pass, every cell of a fault campaign,
 every repeat of a sweep point).  The cache keys compiled models by a

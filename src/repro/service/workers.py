@@ -334,7 +334,6 @@ def _process_coalesced_entry(requests: list, timing: bool = True) -> tuple:
 _NATIVE_ENV_KEYS = (
     "REPRO_NATIVE",
     "REPRO_NATIVE_CACHE",
-    "REPRO_NATIVE_THRESHOLD",
     "REPRO_NATIVE_CC",
 )
 

@@ -1,7 +1,7 @@
 """Suite-wide fixtures.
 
-PIL plants bind native artifacts (``SimulationOptions(native="reuse")``)
-and MIL runs above the auto threshold compile them, so any test may
+PIL plants (``native="reuse"``) and MIL runs (the default ``"auto"``)
+bind native artifacts and build the missing ones, so any test may
 write into the native compile cache.  The session points that cache at
 a temporary directory: the suite never reads or fills the user's
 ``~/.cache/repro-native``.  (``tests/native`` narrows it further to one

@@ -59,6 +59,7 @@ def run_pair(factory, scenarios, t_final=0.05, dt=1e-3, solver="rk4"):
                 solver=solver,
                 log_all_signals=True,
                 use_kernels=False,
+                native=False,
             ),
         )
         serial.append(sim.run())

@@ -163,6 +163,22 @@ class TestUnserializable:
         with pytest.raises(ModelError, match="not registered"):
             model_to_dict(m)
 
+    def test_unstored_parameter_rejected_on_every_call(self, monkeypatch):
+        from repro.model import io
+
+        class Trimmed(Gain):
+            def __init__(self, name, gain=1.0, trim=0.0):
+                super().__init__(name, gain=gain)
+
+        monkeypatch.setitem(io._CLASSES, "Trimmed", Trimmed)
+        kept = Trimmed("kept")
+        kept.trim = 0.5
+        assert io.block_to_dict(kept)["params"] == {"gain": 1.0, "trim": 0.5}
+        bare = Trimmed("bare")
+        for _ in range(2):  # the memoized signature must not skip the check
+            with pytest.raises(ModelError, match="'trim' is not a stored"):
+                io.block_to_dict(bare)
+
     def test_unknown_type_on_load(self):
         with pytest.raises(ModelError, match="unknown block type"):
             model_from_dict({

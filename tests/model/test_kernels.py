@@ -67,7 +67,8 @@ from repro.model.types import INT16
 
 
 def run_both(factory, t_final=0.05, dt=1e-3, solver="rk4", hook=None):
-    """Run a freshly built model on both paths; return (ref, fast, sims)."""
+    """Run a freshly built model on both paths; return (ref, fast, sims).
+    Native is off on both: the subject is the Python kernel path."""
     results, sims = [], []
     for use_kernels in (False, True):
         sim = Simulator(
@@ -79,6 +80,7 @@ def run_both(factory, t_final=0.05, dt=1e-3, solver="rk4", hook=None):
                 log_all_signals=True,
                 step_hook=hook,
                 use_kernels=use_kernels,
+                native=False,
             ),
         )
         results.append(sim.run())
@@ -338,9 +340,7 @@ class TestServoCaseStudy:
         from repro.casestudy import ServoConfig, build_servo_model
 
         cm = build_servo_model(ServoConfig(setpoint=100.0)).model.compile(1e-4)
-        plan = cm.kernel_plan  # attached by CompiledModel.build
-        assert plan is not None, cm.kernel_plan_error
-        stats = plan.report()
+        stats = plan_kernels(cm).report()  # a refusal raises KernelPlanError
         assert stats["affine_fused"] >= 3
         assert stats["passive_dropped"] >= 2
         # the dirty-closure pruning must shrink the minor-step schedule

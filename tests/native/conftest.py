@@ -19,7 +19,6 @@ def _tmp_native_cache(tmp_path_factory, monkeypatch):
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
     # the suite controls the mode explicitly through SimulationOptions
     monkeypatch.delenv("REPRO_NATIVE", raising=False)
-    monkeypatch.delenv("REPRO_NATIVE_THRESHOLD", raising=False)
     yield cache
 
 

@@ -6,12 +6,14 @@ under ``native="reuse"``, go on without it).  A child forked while a
 build is in flight starts with an empty in-flight table and fresh locks,
 so it neither deadlocks on a lock nor waits for a build whose thread it
 did not inherit.  A build still running when the interpreter exits is
-abandoned: exit does not wait for it, and neither its ``cc`` nor its
-temp file outlives the process.
+abandoned: exit does not wait for it, and neither its ``cc``, the
+passes that ``cc`` started, nor its temp file outlives the process; a
+build that reaches ``cc`` only after exit began does not start it.
 """
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -175,41 +177,104 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 #: starts a background build, waits until its cc runs, then exits
 _EXIT_PROBE = """
-import sys, time
+import os, sys, time
 sys.path.insert(0, sys.argv[1])
 from repro.native import cache
 with open(sys.argv[2]) as f:
     assert cache.reuse_compiled(f.read()) is None
 deadline = time.monotonic() + 30
-while not cache._procs and time.monotonic() < deadline:
+while not os.path.exists(sys.argv[3]) and time.monotonic() < deadline:
     time.sleep(0.01)
 assert cache._procs, "the background build never started cc"
 """
+
+#: starts a background build held back until exit has begun, then exits
+_LATE_PROBE = """
+import atexit, sys, threading
+sys.path.insert(0, sys.argv[1])
+hold = threading.Event()
+
+def release_the_build():  # registered first, so it runs after the cache's
+    hold.set()
+    for t in threading.enumerate():
+        if t.name.startswith("repro-native-cc-"):
+            t.join(30)
+
+atexit.register(release_the_build)
+from repro.native import cache
+real = cache._atomic_write
+cache._atomic_write = lambda path, text: (hold.wait(30), real(path, text))
+with open(sys.argv[2]) as f:
+    assert cache.reuse_compiled(f.read()) is None
+"""
+
+
+def _exit_during_build(tmp_path, run, probe=_EXIT_PROBE):
+    """Run ``probe`` in a child interpreter whose ``cc`` reports the real
+    compiler's version and otherwise runs the shell line ``run`` (which
+    starts a long pass and sets ``PID``), records ``$PID`` in a pid file
+    and waits.  Return the pid file and the child's cache directory."""
+    pidfile = tmp_path / "cc.pid"
+    fake = tmp_path / "fake-cc"
+    fake.write_text(
+        "#!/bin/sh\n"
+        f'[ "$1" = "--version" ] && exec {find_cc()} --version\n'
+        f"{run}\n"
+        f"echo $PID > {pidfile}.tmp && mv {pidfile}.tmp {pidfile}\n"
+        "wait\n"
+    )
+    fake.chmod(0o755)
+    tu = tmp_path / "tu.c"
+    tu.write_text(generate_tu(_sim(False)))
+    cache_dir = tmp_path / "cache"
+    env = dict(os.environ, REPRO_NATIVE_CC=str(fake),
+               REPRO_NATIVE_CACHE=str(cache_dir))
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, SRC, str(tu), str(pidfile)],
+        env=env, capture_output=True, text=True, timeout=50)
+    assert proc.returncode == 0, proc.stderr
+    assert time.monotonic() - t0 < 30, "exit waited for the build"
+    return pidfile, cache_dir
+
+
+def _assert_gone(pid):
+    """``pid`` exits within 5 s (a pass dies on its own signal, after
+    exit reaped ``cc``); a survivor is killed, then reported."""
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.01)
+    os.kill(pid, signal.SIGKILL)
+    raise AssertionError(f"process {pid} outlived the interpreter")
 
 
 class TestExit:
     def test_exit_abandons_a_running_build(self, tmp_path):
         require_cc()
-        pidfile = tmp_path / "cc.pid"
-        slow = tmp_path / "slow-cc"
-        slow.write_text(
-            "#!/bin/sh\n"
-            f'[ "$1" = "--version" ] && exec {find_cc()} --version\n'
-            f"echo $$ > {pidfile}\n"
-            "exec sleep 60\n"
-        )
-        slow.chmod(0o755)
-        tu = tmp_path / "tu.c"
-        tu.write_text(generate_tu(_sim(False)))
-        cache_dir = tmp_path / "cache"
-        env = dict(os.environ, REPRO_NATIVE_CC=str(slow),
-                   REPRO_NATIVE_CACHE=str(cache_dir))
-        t0 = time.monotonic()
-        proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, SRC, str(tu)],
-                              env=env, capture_output=True, text=True,
-                              timeout=50)
-        assert proc.returncode == 0, proc.stderr
-        assert time.monotonic() - t0 < 30, "exit waited for the build"
+        pidfile, cache_dir = _exit_during_build(tmp_path,
+                                                "sleep 60 & PID=$$")
         with pytest.raises(ProcessLookupError):
             os.kill(int(pidfile.read_text()), 0)  # cc killed and reaped
+        assert not list(cache_dir.glob("*.tmp"))
+
+    def test_exit_kills_the_passes_cc_started(self, tmp_path):
+        """Killing ``cc`` alone would orphan its ``cc1``."""
+        require_cc()
+        pidfile, cache_dir = _exit_during_build(tmp_path,
+                                                "sleep 60 & PID=$!")
+        _assert_gone(int(pidfile.read_text()))
+        assert not list(cache_dir.glob("*.tmp"))
+
+    def test_no_cc_starts_once_exit_began(self, tmp_path):
+        require_cc()
+        pidfile, cache_dir = _exit_during_build(tmp_path,
+                                                "sleep 60 & PID=$$",
+                                                _LATE_PROBE)
+        if pidfile.exists():
+            _assert_gone(int(pidfile.read_text()))
+        assert not pidfile.exists(), "a build started cc after exit began"
         assert not list(cache_dir.glob("*.tmp"))

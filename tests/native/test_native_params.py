@@ -169,10 +169,15 @@ class TestFastPathOnlyAsFallback:
         assert sim.fast_path is not None
 
     def test_below_auto_threshold_binds_the_fast_path(self):
+        # in an empty cache a short "auto" run finishes on Python
+        from repro.native import find_cc, wait_pending
+
         sim = Simulator(affine_chain(3.0, 0.125)().compile(DT),
                         SimulationOptions(dt=DT, t_final=0.01, native="auto"))
         sim.initialize()
-        assert sim.native_fallback_reason == "below_auto_threshold"
+        assert wait_pending(120)
+        expected = "compile_pending" if find_cc() else "toolchain_missing"
+        assert sim.native_fallback_reason.startswith(expected)
         assert sim.fast_path is not None
 
     def test_plan_refused_binds_the_fast_path(self):

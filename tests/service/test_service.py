@@ -93,6 +93,42 @@ class TestDeterminism:
             assert np.array_equal(first[name], second[name])
 
 
+class TestNativeMIL:
+    """A short MIL job binds the native artifact once it is built."""
+
+    def test_short_job_runs_native_after_warm_up(self, monkeypatch):
+        from repro.native import find_cc, native_cache_stats, wait_pending
+        from repro.obs.metrics import get_registry
+
+        if find_cc() is None:
+            pytest.skip("no C compiler on PATH: MIL jobs run on Python here")
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+
+        def fallbacks():
+            return sum(v for k, v in get_registry().snapshot().items()
+                       if k.startswith("kernel_fallback_total{"))
+
+        req = lambda: MILRequest(  # the serve_mixed MIL shape: 201 steps
+            builder=servo_sweep_model,
+            builder_kwargs={"bandwidth_hz": 6.0},
+            dt=DT,
+            t_final=T_FINAL,
+        )
+        with SimServe(workers=1) as svc:
+            svc.submit(req()).result(timeout=60.0)  # warm-up
+            assert wait_pending(120)
+            hits, before = native_cache_stats()["hits"], fallbacks()
+            served = svc.submit(req()).result(timeout=60.0)
+            assert native_cache_stats()["hits"] == hits + 1
+            assert fallbacks() == before
+        ref = simulate(servo_sweep_model(bandwidth_hz=6.0), T_FINAL, dt=DT,
+                       native=False)
+        assert np.array_equal(ref.t, served.t)
+        assert ref.names == served.names
+        for name in ref.names:
+            assert np.array_equal(ref[name], served[name]), name
+
+
 class TestBatchSweep:
     """execution="batch" runs the sweep as ONE vector job; its per-lane
     results must be bit-identical to the fan-out path's children."""
