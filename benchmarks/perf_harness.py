@@ -214,8 +214,11 @@ def bench_batch_ensemble(n_lanes: int = 32, t_final: float = 0.25) -> dict:
     The serial baseline reuses one compiled model across all lanes with
     the kernel fast path on — compilation already amortized, i.e. the
     strongest sequential opponent.  The batch side pays for everything:
-    planning, lane cloning, and the run itself.  Lanes must come back
-    bit-identical to their serial runs or the whole bench is void.
+    planning, lane cloning, and the run itself (on native lanes: codegen
+    and, in a cold cache, ``cc``).  Lanes must come back bit-identical to
+    their serial runs or the whole bench is void.  ``substrate`` names
+    the executor that ran the lanes; ``vectorized_fraction`` is reported
+    only on the numpy engine, with the reason native lanes did not bind.
     """
     import numpy as np
 
@@ -258,7 +261,7 @@ def bench_batch_ensemble(n_lanes: int = 32, t_final: float = 0.25) -> dict:
         for name in ref.names
     )
     n_steps = int(batched.t.shape[0])
-    return {
+    out = {
         "lanes": n_lanes,
         "n_steps": n_steps,
         "serial_s": serial_s,
@@ -267,8 +270,12 @@ def bench_batch_ensemble(n_lanes: int = 32, t_final: float = 0.25) -> dict:
         "lane_steps_per_s": n_lanes * n_steps / batch_s,
         "bit_identical": bit_identical,
         "lanes_diverged": sim.lanes_diverged,
-        "vectorized_fraction": sim.plan_stats["vectorized_fraction"],
+        "substrate": sim.substrate,
+        "fallback_reason": sim.native_fallback_reason,
     }
+    if not sim.native_active:
+        out["vectorized_fraction"] = sim.plan_stats["vectorized_fraction"]
+    return out
 
 
 def bench_continuous_batching(n_jobs: int = 16, t_final: float = 0.4) -> dict:
@@ -291,7 +298,9 @@ def bench_continuous_batching(n_jobs: int = 16, t_final: float = 0.4) -> dict:
     is the serial Python kernel path the floor was calibrated on, while
     a short MIL job binds the native artifact once it is built.  The
     same serial jobs on that artifact are reported ungated
-    (``serial_native_s``, ``coalesced_vs_serial_native``).
+    (``serial_native_s``, ``coalesced_vs_serial_native``).  The
+    coalesced leg runs on native lanes once the artifact is built; the
+    service's per-step cancel hook keeps those lanes in lockstep.
     """
     import os
     from unittest import mock
@@ -1029,10 +1038,14 @@ def main(argv=None) -> int:
             print(f"native: inactive ({nat.get('fallback_reason')!r})")
     if "batch" in fresh:
         bat = fresh["batch"]
+        how = f"on {bat['substrate']}"
+        if "vectorized_fraction" in bat:
+            how += (f" ({bat['fallback_reason']}), "
+                    f"{bat['vectorized_fraction']:.0%} vectorized")
         print(
             f"batch:  {bat['batch_speedup_vs_serial']:.2f}x over serial sweep "
-            f"({bat['lanes']} lanes, {bat['lane_steps_per_s']:.0f} lane-steps/s, "
-            f"{bat['vectorized_fraction']:.0%} vectorized, "
+            f"({bat['lanes']} lanes {how}, "
+            f"{bat['lane_steps_per_s']:.0f} lane-steps/s, "
             f"bit_identical={bat['bit_identical']})"
         )
     if "events" in fresh:

@@ -4,9 +4,10 @@
 The paper's tuning loop (section 5) evaluates the DC-servo cascade over
 and over with different PID settings.  Serially that costs one full
 simulation per variant; the :class:`~repro.model.BatchSimulator` runs
-all of them at once by carrying the whole ensemble as a batch axis —
-every signal a ``(B,)`` row, every affine kernel a vectorized numpy op —
-while keeping each lane bit-identical to its serial run.
+all of them at once — as native lanes (one compiled artifact, one
+context per variant) when a C compiler is present, else by carrying the
+whole ensemble as a numpy batch axis — while keeping each lane
+bit-identical to its serial run.
 
 This example sweeps ``kp`` over 32 scale factors, times the serial loop
 (kernel fast path, compiled model reused — the strongest sequential
@@ -76,11 +77,15 @@ def main() -> None:
         for name in ref.names
     )
     stats = sim.plan_stats
+    if sim.native_active:
+        how = f"native lanes on {stats['forms']} compiled form(s)"
+    else:
+        how = (f"numpy engine, {sim.native_fallback_reason}: "
+               f"{stats['batch_blocks']} vectorized + {stats['lane_blocks']} "
+               f"per-lane blocks, {stats['affine_rows']} affine rows")
     print(f"ensemble: {N_LANES} kp variants x {len(batched.t)} steps")
     print(f"  serial  {serial_s:6.2f} s  ({N_LANES} kernel-path runs)")
-    print(f"  batched {batch_s:6.2f} s  ({stats['batch_blocks']} vectorized + "
-          f"{stats['lane_blocks']} per-lane blocks, "
-          f"{stats['affine_rows']} affine rows)")
+    print(f"  batched {batch_s:6.2f} s  ({how})")
     print(f"  speedup {serial_s / batch_s:.2f}x, "
           f"lanes bit-identical to serial: {identical}")
     assert identical, "batched lanes diverged from serial runs"

@@ -4,12 +4,30 @@ The paper's workflow (sections 4-5) is inherently many-run — MIL
 validation sweeps, fault grids, parameter studies all re-simulate the
 same diagram under varied parameters.  Running those variants one by one
 pays the full per-step interpreter cost per variant; running them as
-*lanes* of one vectorized engine pays it once, with NumPy carrying a
-trailing batch axis through every pass (the batch-dimension trick of
-TrueTime-style co-simulation studies and modern inference servers).
+*lanes* of one ensemble pays the set-up once.
 
-:class:`BatchSimulator` executes ``B`` scenarios of one
-:class:`~repro.model.compiled.CompiledModel` simultaneously:
+:class:`BatchSimulator` has two executors.  The first is **native
+lanes**: when the model lowers to C (:mod:`repro.native`), every lane is
+one context on one compiled artifact — block parameters are context
+data (``P``), so lanes differ only in their ``P``/``DW`` vectors, made
+by re-emitting just the blocks the scenarios override
+(:meth:`~repro.native.emit.NativeProgram.relower`).  A lane whose
+override selects another emitted form (a gain of exactly -1) gets an
+artifact of its own.  Without a ``step_hook`` each lane runs whole
+chunks in C; with one, the lanes advance in lockstep so the hook sees
+every lane at each step.  ``S``/``X`` are then ``(n, B)`` views of the
+lanes' ``(B, n)`` buffers, so taps read and write the same way on both
+executors.
+
+The second, the **numpy engine**, takes the whole ensemble when native
+lanes cannot bind (wired function-call subsystems, no toolchain,
+``native=False``/``REPRO_NATIVE=off``, a non-numpy array backend, a
+form that fails to lower, ``"auto"`` while the artifact is still
+building); the reason is counted once in
+``kernel_fallback_total{reason}`` and kept in
+:attr:`BatchSimulator.native_fallback_reason`.  It carries a trailing
+batch axis through every pass (the batch-dimension trick of
+TrueTime-style co-simulation studies and modern inference servers):
 
 * every signal is promoted from a scalar to a ``(B,)`` row of one
   ``(n_signals, B)`` matrix, every continuous state to a row of one
@@ -58,7 +76,7 @@ from ..obs.trace import get_tracer
 from .array_backend import ArrayBackend, get_array_backend
 from .block import Block, BlockContext
 from .compiled import CompiledModel
-from .engine import SimulationOptions
+from .engine import SimulationOptions, Simulator
 from .graph import Model
 from .kernels import (
     BatchAffineKernel,
@@ -238,7 +256,10 @@ class BatchSimulator:
     Mirrors the :class:`~repro.model.engine.Simulator` lifecycle —
     ``initialize`` + ``advance`` for incremental use, :meth:`run` for the
     common case — and honours the same :class:`SimulationOptions`
-    (``use_kernels`` is ignored: batching *is* the kernel path).
+    (``use_kernels`` is ignored: batching *is* the kernel path;
+    ``native`` selects between native lanes and the numpy engine as it
+    does for one run, with ``"auto"`` counting the block-steps of all
+    lanes).
     """
 
     def __init__(
@@ -305,12 +326,26 @@ class BatchSimulator:
         self._trace: Optional[np.ndarray] = None
         self._log_len = 0
         self.plan_stats: dict = {}
+        #: one bound native context per lane (None on the numpy engine)
+        self._lanes: Optional[list] = None
+        #: why native lanes were not bound (None when they are)
+        self.native_fallback_reason: Optional[str] = None
         self._initialized = False
         self._tracer = get_tracer()
 
     # ------------------------------------------------------------------
     # properties
     # ------------------------------------------------------------------
+    @property
+    def native_active(self) -> bool:
+        return self._lanes is not None
+
+    @property
+    def substrate(self) -> str:
+        """``"native"`` on native lanes, else the numpy engine's array
+        backend name."""
+        return "native" if self._lanes is not None else self.xp.name
+
     @property
     def lanes_diverged(self) -> int:
         """Lanes that skipped an event some other lane took (cumulative)."""
@@ -358,25 +393,15 @@ class BatchSimulator:
                         )
 
     def _lane_affine_specs(self, block: Block, qname: str, n_states: int):
-        """Per-lane affine specs under each scenario's overrides, or None
-        when any lane's override breaks the affine form."""
-        attrs = sorted(
-            {a for sc in self.scenarios for a in sc.overrides.get(qname, {})}
-        )
-        saved = {a: getattr(block, a) for a in attrs}
+        """Per-lane affine specs under each scenario's overrides, read off
+        lane clones (the shared model is never mutated), or None when any
+        lane's override breaks the affine form."""
         specs = []
-        try:
-            for sc in self.scenarios:
-                ov = sc.overrides.get(qname, {})
-                for a in attrs:
-                    setattr(block, a, ov.get(a, saved[a]))
-                spec = _affine_spec(block, n_states)
-                if spec is None:
-                    return None
-                specs.append(spec)
-        finally:
-            for a, v in saved.items():
-                setattr(block, a, v)
+        for b in range(self.n_lanes):
+            spec = _affine_spec(self._clone_for_lane(block, qname, b), n_states)
+            if spec is None:
+                return None
+            specs.append(spec)
         return specs
 
     @staticmethod
@@ -418,10 +443,151 @@ class BatchSimulator:
         return fire
 
     def initialize(self) -> None:
-        """Validate scenarios, partition the schedule into batch-affine /
-        vectorized / per-lane entries, and initialise per-lane state."""
+        """Validate scenarios, then bind native lanes or else plan the
+        numpy engine."""
         t0 = perf_counter()
         self._validate_scenarios()
+        if not self._bind_lanes():
+            self._plan_engine()
+        self._initialized = True
+        tr = self._tracer
+        if tr.enabled:
+            tr.complete("batch.plan", "batch", t0, args=dict(self.plan_stats))
+
+    # ------------------------------------------------------------------
+    # native lanes
+    # ------------------------------------------------------------------
+    def _bind_lanes(self) -> bool:
+        """Bind every lane as a context on a compiled artifact, or record
+        why the ensemble stays on the numpy engine.
+
+        The base model goes once through the engine's native rung (one
+        plan, one ``generate_program``, one artifact).  Each lane then
+        re-emits only the overridden blocks, on its own started clones,
+        for its ``P``/``DW`` vectors; a lane whose clones render another
+        form lowers a TU of its own through the same rung.  Any refusal
+        leaves the whole ensemble to the numpy engine, with the rung's
+        reason counted once.  The shared compiled model is never mutated:
+        forms are lowered from shallow copies holding the clones."""
+        cm, B = self.cm, self.n_lanes
+        base = Simulator(cm, self.options)
+        mode = base._native_mode()
+        if mode is False:
+            return self._stay_on_engine(base, "disabled")
+        if self.xp.name != "numpy":
+            return self._stay_on_engine(
+                base, "disabled", f"array backend '{self.xp.name}'")
+        base._start()
+        artifact = base._native_artifact(mode, base._plan_kernels(), lanes=B)
+        if artifact is None:
+            return self._stay_on_engine(base)
+        if artifact[0].held:
+            return self._stay_on_engine(
+                base, "plan_refused", "held outputs are shared by every lane")
+        overridden = sorted({q for sc in self.scenarios for q in sc.overrides})
+        S = np.zeros((B, cm.n_signals))
+        X = np.zeros((B, cm.n_states))
+        started = [(cm.nodes[q], base._ctxs[q]) for q in cm.order]
+        forms = [artifact]
+        bound = []
+        for b, sc in enumerate(self.scenarios):
+            X[b] = base.x
+            blocks = {q: self._start_clone(q, b, X[b]) if q in sc.overrides
+                      else (cm.nodes[q], base._ctxs[q]) for q in overridden}
+            started += [blocks[q] for q in sc.overrides]
+            for program, so_path in forms:
+                vectors = program.relower(blocks)
+                if vectors is not None:
+                    break
+            else:
+                form_cm = copy.copy(cm)
+                form_cm.nodes = {**cm.nodes,
+                                 **{q: blk for q, (blk, _c) in blocks.items()}}
+                sim = Simulator(form_cm, self.options)
+                sim._start()
+                form = sim._native_artifact(mode, sim._plan_kernels(), lanes=B)
+                if form is None:
+                    return self._stay_on_engine(sim)
+                forms.append(form)
+                program, so_path = form
+                vectors = (None, None)  # the program's own vectors
+            bound.append((program, so_path, vectors))
+        from ..native import NativePath
+
+        try:
+            lanes = [
+                NativePath(program, so_path, S[b], X[b], params=p, dwork=dw)
+                for b, (program, so_path, (p, dw)) in enumerate(bound)
+            ]
+        except Exception as exc:  # dlopen/ABI trouble: the numpy engine
+            return self._stay_on_engine(base, "compile_error",
+                                        f"load failed: {exc}")
+        self._lanes = lanes
+        self.S, self.X = S.T, X.T
+        self._scope_sched = list(base._scope_sched)
+        self._terminate = started
+        self.plan_stats = {
+            "lanes": B,
+            "substrate": "native",
+            "forms": len(forms),
+            "overridden_blocks": len(overridden),
+        }
+        return True
+
+    def _start_clone(self, qname: str, lane: int, x: np.ndarray):
+        """``(clone, ctx)``: lane ``lane``'s copy of ``qname`` started on
+        a fresh context over the lane's state row ``x``."""
+        cm = self.cm
+        block = self._clone_for_lane(cm.nodes[qname], qname, lane)
+        off, n = cm.state_offset[qname], cm.state_count[qname]
+        if n:
+            x[off : off + n] = np.asarray(block.initial_continuous_states())
+        ctx = BlockContext()
+        ctx.x = x[off : off + n]
+        block.start(ctx)
+        return block, ctx
+
+    def _stay_on_engine(self, sim: Simulator, reason: Optional[str] = None,
+                        detail: str = "") -> bool:
+        """Keep ``sim``'s recorded fallback (or record ``reason`` on it,
+        counted once) as the ensemble's."""
+        if reason is not None:
+            sim._native_fallback(reason, detail)
+        self.native_fallback_reason = sim.native_fallback_reason
+        return False
+
+    def _run_lanes(self, n_steps: int) -> None:
+        """``n_steps`` major steps on every lane: one ``nx_run`` call per
+        lane chunk, its scope (and trace) rows written into the logs."""
+        dt = self.options.dt
+        want_trace = self.options.log_all_signals
+        n0 = self._log_len
+        if self._t_log is None or self._t_log.shape[0] < n0 + n_steps:
+            self._grow_logs(n0 + n_steps)
+        start = self.step_index
+        chunk = Simulator._NATIVE_CHUNK
+        for done in range(0, n_steps, chunk):
+            n = min(chunk, n_steps - done)
+            step = start + done
+            rows = slice(n0 + done, n0 + done + n)
+            for b, lane in enumerate(self._lanes):
+                scope, trace = lane.run_chunk(step, n, want_trace)
+                for k, (qname, _idx) in enumerate(self._scope_sched):
+                    self._scope_buf[qname][rows, b] = scope[:, k]
+                if want_trace:
+                    self._trace[rows, :, b] = trace
+            # t = step * dt per step, the product advance() forms
+            self._t_log[rows] = np.arange(step, step + n) * dt
+        self._log_len = n0 + n_steps
+        self.step_index = start + n_steps
+        self.time = self.step_index * dt
+
+    # ------------------------------------------------------------------
+    # numpy engine
+    # ------------------------------------------------------------------
+    def _plan_engine(self) -> None:
+        """Partition the schedule into batch-affine / vectorized /
+        per-lane entries and initialise per-lane state."""
         cm = self.cm
         B = self.n_lanes
         S, X = self.S, self.X
@@ -632,6 +798,7 @@ class BatchSimulator:
         scheduled = n_affine_rows + n_batch + n_lane
         self.plan_stats = {
             "lanes": B,
+            "substrate": self.xp.name,
             "affine_rows": n_affine_rows,
             "affine_kernels": sum(
                 1 for e in out_entries if isinstance(e, _AffineEntry)
@@ -647,10 +814,6 @@ class BatchSimulator:
                 (n_affine_rows + n_batch) / scheduled if scheduled else 1.0
             ),
         }
-        self._initialized = True
-        tr = self._tracer
-        if tr.enabled:
-            tr.complete("batch.plan", "batch", t0, args=dict(self.plan_stats))
 
     def _lane_column(self, values: list) -> Any:
         """Scalar when all lanes agree, else a ``(B,)`` column."""
@@ -802,14 +965,26 @@ class BatchSimulator:
             raise RuntimeError("call initialize() first")
         t = self.time
         step = self.step_index
-        self._out_major(t, step)
-        if self._fired:
-            self._flush_fired()
-        self._log_step(t)
-        if self.options.step_hook is not None:
-            self.options.step_hook(t, self)
-        self._update(t, step)
-        self._integrate(t)
+        lanes = self._lanes
+        if lanes is not None:
+            # lockstep: every lane's output half, then the log row and the
+            # hook over all lanes, then every lane's update + integration
+            for lane in lanes:
+                lane.out_major(step)
+            self._log_step(t)
+            if self.options.step_hook is not None:
+                self.options.step_hook(t, self)
+            for lane in lanes:
+                lane.finish(step)
+        else:
+            self._out_major(t, step)
+            if self._fired:
+                self._flush_fired()
+            self._log_step(t)
+            if self.options.step_hook is not None:
+                self.options.step_hook(t, self)
+            self._update(t, step)
+            self._integrate(t)
         self.step_index = step + 1
         self.time = self.step_index * self.options.dt
         return self.time
@@ -869,24 +1044,30 @@ class BatchSimulator:
             self.initialize()
         n_steps = int(round(self.options.t_final / self.options.dt)) + 1
         self._reserve_logs(n_steps)
-        advance = self.advance
         tr = self._tracer
         if not tr.enabled:
-            for _ in range(n_steps):
-                advance()
+            self._run_steps(n_steps)
             self._count_run(n_steps)
             return self.result()
         opts = self.options
         with tr.span("batch.run", cat="batch", args={
             "lanes": self.n_lanes, "dt": opts.dt, "t_final": opts.t_final,
             "solver": opts.solver, "steps": n_steps,
+            "substrate": self.substrate,
         }) as span:
-            for _ in range(n_steps):
-                advance()
+            self._run_steps(n_steps)
             if span is not None:
                 span.args["lanes_diverged"] = self._lanes_diverged
         self._count_run(n_steps)
         return self.result()
+
+    def _run_steps(self, n_steps: int) -> None:
+        if self._lanes is not None and self.options.step_hook is None:
+            self._run_lanes(n_steps)
+            return
+        advance = self.advance
+        for _ in range(n_steps):
+            advance()
 
     def _count_run(self, n_steps: int) -> None:
         from ..obs.metrics import get_registry

@@ -152,6 +152,20 @@ class Simulator:
         else the kernel fast path (planned against the blocks' *current*
         modes — PE peripherals may have been switched to PIL/HW after the
         model was compiled)."""
+        self._start()
+        # one kernel plan serves both executors; the native loop takes
+        # over when it binds, else the Python passes are generated from it
+        mode = self._native_mode()
+        plan = None
+        if mode is not False or self.options.use_kernels:
+            plan = self._plan_kernels()
+        if not self._bind_native(mode, plan):
+            self._bind_fast_path(plan)
+        self._initialized = True
+
+    def _start(self) -> None:
+        """Start every block on a fresh context and build the reference
+        schedules."""
         cm = self.cm
         from .library.sinks import Scope
 
@@ -184,15 +198,6 @@ class Simulator:
                 )
             if isinstance(block, Scope):
                 self._scope_sched.append((qname, in_idx[0]))
-        # one kernel plan serves both executors; the native loop takes
-        # over when it binds, else the Python passes are generated from it
-        mode = self._native_mode()
-        plan = None
-        if mode is not False or self.options.use_kernels:
-            plan = self._plan_kernels()
-        if not self._bind_native(mode, plan):
-            self._bind_fast_path(plan)
-        self._initialized = True
 
     def _plan_kernels(self):
         """The kernel plan against the blocks' current modes, or the
@@ -277,21 +282,46 @@ class Simulator:
         return self.options.native
 
     def _bind_native(self, mode, plan) -> bool:
-        """Lower ``plan`` to C, compile (or reuse the disk cache), and
-        take over the step loop — or record why not and leave the Python
-        paths to :meth:`_bind_fast_path`.  The fallback ladder: disabled
-        -> plan_refused -> toolchain_missing -> compile_pending (a
-        ``"reuse"`` bind, or a short ``"auto"`` one) -> compile_error."""
+        """Take over the step loop with the native artifact for ``plan``
+        (see :meth:`_native_artifact`), or record why not and leave the
+        Python paths to :meth:`_bind_fast_path`."""
+        from ..native import NativePath
+
+        artifact = self._native_artifact(mode, plan)
+        if artifact is None:
+            return False
+        program, so_path = artifact
+        # Commit: the extension borrows the signal buffer, so the scalar
+        # list becomes an ndarray now (the reference passes read
+        # ``self.signals`` fresh each call, so co-simulation taps and the
+        # legacy shims stay correct alongside the native loop).
+        signals = np.ascontiguousarray(self.signals, dtype=np.float64)
+        try:
+            native = NativePath(program, so_path, signals, self.x)
+        except Exception as exc:  # dlopen/ABI trouble: keep Python paths
+            self._native_fallback("compile_error", f"load failed: {exc}")
+            return False
+        self.signals = signals
+        self.native_path = native
+        return True
+
+    def _native_artifact(self, mode, plan, lanes: int = 1):
+        """Lower ``plan`` to C and compile it (or reuse the disk cache):
+        ``(program, so_path)``, or ``None`` after recording why not.  The
+        fallback ladder: disabled -> plan_refused -> toolchain_missing ->
+        compile_pending (a ``"reuse"`` bind, or a short ``"auto"`` one)
+        -> compile_error.  ``"auto"`` counts the block-steps of ``lanes``
+        runs of this length (an ensemble's lanes share one artifact)."""
         if mode is False:
             self._native_fallback("disabled")
-            return False
+            return None
         if mode == "auto":
             n_steps = int(round(self.options.t_final / self.options.dt)) + 1
-            if n_steps * max(1, len(self._sched)) < NATIVE_AUTO_THRESHOLD:
+            block_steps = n_steps * max(1, len(self._sched)) * lanes
+            if block_steps < NATIVE_AUTO_THRESHOLD:
                 mode = "reuse"
         from ..native import (
             NativeLoweringError,
-            NativePath,
             ToolchainError,
             ensure_compiled,
             find_cc,
@@ -306,35 +336,23 @@ class Simulator:
             program = generate_program(self, plan)
         except (KernelPlanError, NativeLoweringError) as exc:
             self._native_fallback("plan_refused", str(exc))
-            return False
+            return None
         if find_cc() is None:
             self._native_fallback("toolchain_missing",
                                   "no C compiler on PATH (cc/gcc/clang)")
-            return False
+            return None
         try:
             if mode == "reuse":
                 so_path = reuse_compiled(program.source)
                 if so_path is None:
                     self._native_fallback("compile_pending")
-                    return False
+                    return None
             else:
                 so_path = ensure_compiled(program.source)
         except ToolchainError as exc:
             self._native_fallback("compile_error", str(exc))
-            return False
-        # Commit: the extension borrows the signal buffer, so the scalar
-        # list becomes an ndarray now (the reference passes read
-        # ``self.signals`` fresh each call, so co-simulation taps and the
-        # legacy shims stay correct alongside the native loop).
-        signals = np.ascontiguousarray(self.signals, dtype=np.float64)
-        try:
-            native = NativePath(program, so_path, signals, self.x)
-        except Exception as exc:  # dlopen/ABI trouble: keep Python paths
-            self._native_fallback("compile_error", f"load failed: {exc}")
-            return False
-        self.signals = signals
-        self.native_path = native
-        return True
+            return None
+        return program, so_path
 
     def _make_fire(self, qname: str) -> Callable[[int], None]:
         # events are queued and dispatched right after the firing block's

@@ -19,9 +19,11 @@ concurrent processes never observe a half-written artifact.
 Builds are single-flight per key within a process: the first caller
 runs ``cc``, later callers wait for it (:func:`ensure_compiled`) or
 return at once (:func:`reuse_compiled`, which starts the build on a
-background thread).  A forked child starts with an empty in-flight
-table, and a build still running when the interpreter exits is
-abandoned (its ``cc`` is killed; the next process starts it again).
+background thread).  At most one ``cc`` per CPU this process may use
+runs at a time; further builds queue for a slot.  A forked child starts
+with an empty in-flight table and free slots, and a build still running
+when the interpreter exits is abandoned (its ``cc`` is killed; the next
+process starts it again).
 """
 
 from __future__ import annotations
@@ -190,16 +192,30 @@ _procs: dict = {}
 _exiting = False
 
 
+def cc_slots() -> int:
+    """How many ``cc`` may run at once: the CPUs this process may use."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):  # no affinity API on this platform
+        return max(1, os.cpu_count() or 1)
+
+
+#: one slot per concurrently running ``cc`` (see :func:`cc_slots`)
+_cc_gate = threading.BoundedSemaphore(cc_slots())
+
+
 def _reset_after_fork() -> None:
     """A forked child inherits the in-flight table but not the threads
-    building its entries (nor the release of a lock one of them held):
-    start the child with fresh locks and nothing in flight."""
-    global _lock, _stats_lock, _builds_lock, _inflight, _procs
+    building its entries (nor the release of a lock or slot one of them
+    held): start the child with fresh locks, free slots and nothing in
+    flight."""
+    global _lock, _stats_lock, _builds_lock, _inflight, _procs, _cc_gate
     _lock = threading.Lock()
     _stats_lock = threading.Lock()
     _builds_lock = threading.Lock()
     _inflight = {}
     _procs = {}
+    _cc_gate = threading.BoundedSemaphore(cc_slots())
 
 
 os.register_at_fork(after_in_child=_reset_after_fork)
@@ -256,25 +272,27 @@ def _claim(art: _Artifact) -> tuple[Optional[_Build], bool]:
 
 
 def _run_cc(argv: list, tmp_so: str) -> tuple[int, str]:
-    # started and registered under the lock that exit takes, so every
-    # ``cc`` either is killed at exit or never starts; in its own
-    # process group, so that kill reaches the passes ``cc`` started
-    with _builds_lock:
-        if _exiting:
-            raise ToolchainError("interpreter exiting; build abandoned")
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, text=True,
-                                start_new_session=True)
-        _procs[proc] = tmp_so
-    try:
-        try:
-            out, err = proc.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            out, err = proc.communicate()
-    finally:
+    # a free slot first (waited for outside the build lock); then started
+    # and registered under the lock that exit takes, so every ``cc``
+    # either is killed at exit or never starts; in its own process
+    # group, so that kill reaches the passes ``cc`` started
+    with _cc_gate:
         with _builds_lock:
-            _procs.pop(proc, None)
+            if _exiting:
+                raise ToolchainError("interpreter exiting; build abandoned")
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True,
+                                    start_new_session=True)
+            _procs[proc] = tmp_so
+        try:
+            try:
+                out, err = proc.communicate(timeout=120)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                out, err = proc.communicate()
+        finally:
+            with _builds_lock:
+                _procs.pop(proc, None)
     return proc.returncode, err or out
 
 

@@ -34,17 +34,26 @@ points of one diagram therefore lower to one TU, and one compiled
 artifact serves them all.  The text is deterministic (no timestamps,
 stable iteration orders), so it doubles as the compile-cache key
 material and as golden-test content.
+
+Emission is per block (:class:`Lowering`): the program keeps, for each
+block, the text it rendered at each of its sites, so
+:meth:`NativeProgram.relower` can re-emit a handful of blocks alone —
+an ensemble lane's overridden clones — into the same ``P`` slots and
+``DW`` slice, and tell from the text whether they still render the same
+form.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import Any, Mapping, Optional
 
 import numpy as np
 
 from repro.model.block import Block
-from repro.model.kernels import AffineRow, AffineRun, BlockEntry, KernelPlan
+from repro.model.kernels import AffineRow, AffineRun, KernelPlan, _affine_spec
 
 #: Bump when emitted C changes shape — part of the disk-cache key, so
 #: stale artifacts from older emitters can never be dlopen'ed.
@@ -154,7 +163,7 @@ class BlockEmitter:
     def const_arr(self, values) -> str:
         """A parameter table: consecutive ``P`` slots, indexable as
         ``<expr>[i]``."""
-        first = len(self._tu.params)
+        first = self._tu.next_slot()
         for v in values:
             self._tu.param(v, self._qname)
         return f"(P + {first})"
@@ -170,6 +179,119 @@ class _TU:
         self.params.append(float(v))
         self.owners.append(qname)
         return f"P[{len(self.params) - 1}]"
+
+    def next_slot(self) -> int:
+        """The ``P`` index the next value will take."""
+        return len(self.params)
+
+
+class _BlockTU(_TU):
+    """One block re-emitted alone: its ``j``-th value renders as the
+    block's ``j``-th slot of the whole TU, so an unchanged form renders
+    the base text."""
+
+    def __init__(self, slots: list[int]):
+        super().__init__()
+        self.slots = slots
+
+    def param(self, v: float, qname: str) -> str:
+        self.params.append(float(v))
+        return f"P[{self._slot(len(self.params) - 1)}]"
+
+    def next_slot(self) -> int:
+        return self._slot(len(self.params))
+
+    def _slot(self, j: int) -> int:
+        # an index no base text holds, so a form with more values differs
+        return self.slots[j] if j < len(self.slots) else -1 - j
+
+
+@dataclass
+class _Rec:
+    """A template-lowered block: template, discrete-work layout and
+    slice, held-output slot."""
+
+    tpl: Any
+    layout: list
+    offs: dict  # field -> absolute DW index
+    dw0: int
+    n_dw: int
+    held: Optional[tuple]  # (slot in the context's H table, length)
+
+
+class Lowering:
+    """How a program's blocks were emitted, kept so that one block can be
+    re-emitted alone (:meth:`NativeProgram.relower`)."""
+
+    def __init__(self, cm, plan: KernelPlan, recs: dict):
+        self.cm = cm
+        self.plan = plan
+        self.recs = recs
+        #: qname -> ``[(method, first tmp number, lines)]``, one per TU site
+        self.sites: dict[str, list] = {}
+        self._slots: Optional[dict] = None
+
+    def emit(self, tu: _TU, qname: str, block, method: str,
+             rows=None) -> list[str]:
+        """What one block contributes to one pass: its affine ``rows``,
+        or else its template's ``method`` chunk."""
+        if rows is not None:
+            return [f"  S[{r.out_sig}] = {_affine_c(r, tu)};" for r in rows]
+        cm = self.cm
+        rec = self.recs[qname]
+        em = BlockEmitter(
+            tu, qname, tuple(cm.input_map[qname]),
+            tuple(cm.sig_index[(qname, p)] for p in range(block.n_out)),
+            rec.offs, cm.state_offset[qname], rec.held,
+        )
+        return _block_chunk(qname, rec.tpl, method, block, em)
+
+    def site(self, tu: _TU, qname: str, method: str) -> list[str]:
+        """Emit the model's block at its next site and record its lines."""
+        tmp0 = tu.n_tmp
+        lines = self.emit(tu, qname, self.cm.nodes[qname], method,
+                          self.plan.affine_rows.get(qname))
+        self.sites.setdefault(qname, []).append((method, tmp0, lines))
+        return lines
+
+    def slots(self, owners: list[str]) -> dict:
+        """qname -> the ``P`` indices it owns, in emission order."""
+        if self._slots is None:
+            self._slots = {}
+            for k, qname in enumerate(owners):
+                self._slots.setdefault(qname, []).append(k)
+        return self._slots
+
+    def relower(self, qname: str, block, ctx, slots: list[int]):
+        """``(params, dwork)`` of ``block`` emitted at ``qname``'s sites,
+        or ``None`` when its text, dwork layout or value count differs."""
+        tu = _BlockTU(slots)
+        rows, dwork = None, []
+        base_rows = self.plan.affine_rows.get(qname)
+        if base_rows is not None:
+            # the plan holds the base coefficients: re-derive the rows
+            spec = _affine_spec(block, self.cm.state_count[qname])
+            if spec is None:
+                return None
+            rows = [dataclasses.replace(r, coeffs=tuple(float(c) for c in spec[p][0]),
+                                        const=float(spec[p][1]))
+                    for p, r in enumerate(base_rows)]
+        elif qname in self.recs:
+            rec = self.recs[qname]
+            tpl = rec.tpl
+            if (tpl.refuse(block) or tpl.held(block) is not None
+                    or list(tpl.dwork(block)) != rec.layout):
+                return None
+            dwork = tpl.dwork_init(block, ctx)
+            if len(dwork) != rec.n_dw:
+                return None
+        for method, tmp0, lines in self.sites.get(qname, ()):
+            tu.n_tmp = tmp0
+            if self.emit(tu, qname, block, method, rows) != lines:
+                return None
+        if len(tu.params) != len(slots):
+            return None
+        return tu.params, dwork
 
 
 @dataclass
@@ -190,6 +312,8 @@ class NativeProgram:
     param_owners: list[str] = field(default_factory=list)
     #: block-owned float64 buffers the context borrows as ``H[k]``
     held: list = field(default_factory=list)
+    #: per-block emission record (see :meth:`relower`)
+    lowering: Optional[Lowering] = field(default=None, repr=False)
 
     def listing(self) -> str:
         """The TU followed by its parameter vector as a C comment — every
@@ -198,6 +322,30 @@ class NativeProgram:
         rows = [f"/* P[{k}] = {v.hex()}  {q} */"
                 for k, (v, q) in enumerate(zip(self.params, self.param_owners))]
         return self.source + "".join(f"{r}\n" for r in rows)
+
+    def relower(self, blocks: Mapping[str, tuple]):
+        """This program's ``(P, DW)`` vectors with ``blocks`` (``{qname:
+        (block, started context)}``, e.g. one ensemble lane's overridden
+        clones) in place of the blocks it was lowered from.  Only those
+        blocks are re-emitted.  ``None`` when one of them renders other
+        text — another form, e.g. a gain of exactly -1 — which needs a
+        TU of its own."""
+        low = self.lowering
+        params = np.array(self.params or [0.0], dtype=np.float64)
+        dwork = np.array(self.dwork_init or [0.0], dtype=np.float64)
+        slots = low.slots(self.param_owners)
+        for qname, (block, ctx) in blocks.items():
+            own = slots.get(qname, [])
+            got = low.relower(qname, block, ctx, own)
+            if got is None:
+                return None
+            values, dw = got
+            if own:
+                params[own] = values
+            rec = low.recs.get(qname)
+            if rec is not None and rec.n_dw:
+                dwork[rec.dw0 : rec.dw0 + rec.n_dw] = dw
+        return params, dwork
 
 
 def _block_chunk(qname, tpl, method, block, em) -> list[str]:
@@ -236,7 +384,7 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
             )
 
     # ---- per-block validation + discrete-state layout --------------------
-    recs: dict[str, tuple] = {}  # qname -> (block, template, dwork_off, held)
+    recs: dict[str, _Rec] = {}
     n_dwork = 0
     dwork_init: list[float] = []
     held: list = []
@@ -253,9 +401,10 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         reason = tpl.refuse(block)
         if reason:
             raise NativeLoweringError(reason)
+        layout = list(tpl.dwork(block))
         offs: dict[str, int] = {}
         want = 0
-        for fld, n in tpl.dwork(block):
+        for fld, n in layout:
             offs[fld] = n_dwork + want
             want += n
         vals = tpl.dwork_init(block, sim._ctxs[qname])
@@ -264,8 +413,6 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
                 f"dwork init size mismatch for '{qname}': "
                 f"{len(vals)} != {want}"
             )
-        n_dwork += want
-        dwork_init.extend(vals)
         buf = tpl.held(block)
         slot = None
         if buf is not None:
@@ -277,48 +424,37 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
                 )
             slot = (len(held), buf.size)
             held.append(buf)
-        recs[qname] = (block, tpl, offs, slot)
+        recs[qname] = _Rec(tpl, layout, offs, n_dwork, want, slot)
+        n_dwork += want
+        dwork_init.extend(vals)
 
+    low = Lowering(cm, plan, recs)
     tu = _TU()
-
-    def emitter(qname) -> BlockEmitter:
-        block, _tpl, offs, slot = recs[qname]
-        in_sigs = tuple(cm.input_map[qname])
-        out_sigs = tuple(cm.sig_index[(qname, p)] for p in range(block.n_out))
-        return BlockEmitter(tu, qname, in_sigs, out_sigs, offs,
-                            cm.state_offset[qname], slot)
 
     # ---- major output pass ----------------------------------------------
     out_lines: list[str] = []
     for entry in plan.entries:
         if isinstance(entry, AffineRun):
-            rows = [f"  S[{r.out_sig}] = {_affine_c(r, tu)};" for r in entry.rows]
+            rows: list[str] = []
+            for qname in entry.qnames:
+                rows += low.site(tu, qname, "outputs")
             out_lines += _guarded(entry.divisor, rows)
             continue
-        block, tpl = recs[entry.qname][:2]
-        chunk = _block_chunk(entry.qname, tpl, "outputs", block, emitter(entry.qname))
-        out_lines += _guarded(entry.divisor, chunk)
+        out_lines += _guarded(entry.divisor, low.site(tu, entry.qname, "outputs"))
 
     # ---- minor pass (dirty closure) -------------------------------------
     minor_lines: list[str] = []
     for qname in plan.minor_qnames:
-        rows = plan.affine_rows.get(qname)
-        if rows is not None:
-            minor_lines += [f"  S[{r.out_sig}] = {_affine_c(r, tu)};" for r in rows]
-            continue
-        block, tpl = recs[qname][:2]
-        minor_lines += _block_chunk(qname, tpl, "outputs", block, emitter(qname))
+        minor_lines += low.site(tu, qname, "outputs")
 
     # ---- update pass -----------------------------------------------------
     upd_lines: list[str] = []
     for entry in plan.entries:
         if isinstance(entry, AffineRun):
             continue
-        block, tpl = recs[entry.qname][:2]
-        if type(block).update is Block.update:
+        if type(cm.nodes[entry.qname]).update is Block.update:
             continue
-        chunk = _block_chunk(entry.qname, tpl, "update", block, emitter(entry.qname))
-        upd_lines += _guarded(entry.divisor, chunk)
+        upd_lines += _guarded(entry.divisor, low.site(tu, entry.qname, "update"))
 
     # ---- derivative pass -------------------------------------------------
     deriv_lines: list[str] = []
@@ -327,13 +463,11 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
             continue
         if getattr(cm.nodes[qname], "triggerable", False):
             continue
-        rec = recs.get(qname)
-        if rec is None:
+        if qname not in recs:
             raise NativeLoweringError(
                 f"stateful block '{qname}' is outside the lowered schedule"
             )
-        block, tpl = rec[:2]
-        deriv_lines += _block_chunk(qname, tpl, "deriv", block, emitter(qname))
+        deriv_lines += low.site(tu, qname, "deriv")
 
     scope_sigs = [idx for _qname, idx in sim._scope_sched]
 
@@ -359,6 +493,7 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         params=tu.params,
         param_owners=tu.owners,
         held=held,
+        lowering=low,
     )
 
 

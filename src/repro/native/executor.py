@@ -9,8 +9,10 @@ simulator from
   C loop writes is immediately visible to Python (co-simulation taps,
   scope logging, the step hook) without copies;
 * this instance's parameter vector (``NativeProgram.params``), discrete
-  work and integrator scratch, allocated here — so simulators of
-  different design points share one artifact;
+  work and integrator scratch, allocated here, or the parameter and
+  discrete-work vectors the caller passes (an ensemble lane's, from
+  :meth:`NativeProgram.relower`) — so simulators of different design
+  points share one artifact;
 * the held-output arrays blocks expose (``NativeProgram.held``),
   borrowed, so a harness writes actuation into one buffer whichever
   executor runs the plant.
@@ -73,20 +75,28 @@ class NativePath:
     ``signals`` must be a contiguous float64 ndarray (the engine swaps
     its scalar list out right before binding); ``states`` is the
     engine's state vector, shared with every ``BlockContext.x`` view.
+    ``params``/``dwork`` replace the program's own vectors (owned by the
+    context from then on).
     """
 
     def __init__(self, program, so_path: str, signals: np.ndarray,
-                 states: Optional[np.ndarray]):
+                 states: Optional[np.ndarray],
+                 params: Optional[np.ndarray] = None,
+                 dwork: Optional[np.ndarray] = None):
         _check_vector("signals", signals, program.n_signals)
         if program.n_states:
             _check_vector("states", states, program.n_states)
+        if params is None:
+            params = np.array(program.params or [0.0], dtype=np.float64)
+        if dwork is None:
+            dwork = np.array(program.dwork_init or [0.0], dtype=np.float64)
+        _check_vector("params", params, max(1, len(program.params)))
+        _check_vector("dwork", dwork, max(1, program.n_dwork))
         self.program = program
         self.so_path = so_path
         #: the process-wide library handle (shared by every context)
         self.lib = lib = load_library(so_path)
-        dwork = np.array(program.dwork_init or [0.0], dtype=np.float64)
         work = np.zeros(5 * max(1, program.n_states))
-        params = np.array(program.params or [0.0], dtype=np.float64)
         held = list(program.held) or [None]
         #: every buffer the context points into, kept alive with it
         self._buffers = (signals, states, dwork, work, params, *held)

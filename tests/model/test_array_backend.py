@@ -131,6 +131,7 @@ class TestNumpyParity:
             t_final=0.05,
             log_all_signals=True,
             backend="numpy",
+            native=False,
         )
         assert_lanes_identical(serial, seamed)
         for name in batched.names:
@@ -142,7 +143,7 @@ class TestNumpyParity:
         sim = BatchSimulator(
             diverging_event_model().compile(1e-3),
             [{}, {}],
-            SimulationOptions(dt=1e-3, t_final=0.01),
+            SimulationOptions(dt=1e-3, t_final=0.01, native=False),
             backend=NumpyBackend(),
         )
         sim.initialize()
@@ -157,11 +158,11 @@ class TestCupyParity:
         scenarios = [{"level": {"value": v}} for v in (0.0, 2.0)]
         base = simulate_batch(
             diverging_event_model(), scenarios, dt=1e-3, t_final=0.05,
-            backend="numpy",
+            backend="numpy", native=False,
         )
         gpu = simulate_batch(
             diverging_event_model(), scenarios, dt=1e-3, t_final=0.05,
-            backend="cupy",
+            backend="cupy", native=False,
         )
         for name in base.names:
             # GPU float contraction order may differ: tolerance, not bits

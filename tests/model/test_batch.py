@@ -7,7 +7,12 @@ lanes — and asserts each lane is **bit-identical** (``np.array_equal``,
 no tolerance) to its serial run.  The matrix mirrors
 ``tests/model/test_kernels.py``: whole block library, both solvers,
 mixed rates, per-lane affine coefficients, lane-diverging events, and
-the full servo case study.
+the full servo case study.  It runs on both ensemble substrates: each
+class runs the numpy engine (``native=False``), and its ``...Native``
+subclass runs the same tests on native lanes (``native=True``; that leg
+skips without a C compiler, and a model that does not lower must report
+``plan_refused``).  Assertions about numpy-engine internals
+(``plan_stats`` entries, ``lanes_diverged``) run on the numpy leg only.
 """
 
 import dataclasses
@@ -43,8 +48,32 @@ from tests.model.test_kernels import (
 )
 
 
-def run_pair(factory, scenarios, t_final=0.05, dt=1e-3, solver="rk4"):
-    """Serial runs (one fresh model per scenario) vs one batched run."""
+class Matrix:
+    """A test class of the matrix; ``native`` picks the substrate."""
+
+    native = False
+
+
+class NativeLeg:
+    """Mixin: the same tests on native lanes."""
+
+    native = True
+
+    @pytest.fixture(autouse=True)
+    def _native_lanes(self, monkeypatch):
+        from repro.native import find_cc
+
+        if find_cc() is None:
+            pytest.skip("no C compiler on PATH (cc/gcc/clang) — native "
+                        "lanes untestable here; the numpy leg still runs")
+        # the leg sets the mode through SimulationOptions
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+
+
+def run_pair(factory, scenarios, t_final=0.05, dt=1e-3, solver="rk4",
+             native=False):
+    """Serial runs (one fresh model per scenario) vs one batched run on
+    the numpy engine (``native=False``) or on native lanes."""
     serial = []
     for overrides in scenarios:
         cm = factory().compile(dt)
@@ -67,10 +96,17 @@ def run_pair(factory, scenarios, t_final=0.05, dt=1e-3, solver="rk4"):
         factory().compile(dt),
         scenarios,
         SimulationOptions(
-            dt=dt, t_final=t_final, solver=solver, log_all_signals=True
+            dt=dt, t_final=t_final, solver=solver, log_all_signals=True,
+            native=native,
         ),
     )
-    return serial, batch, batch.run()
+    batched = batch.run()
+    if native:
+        reason = batch.native_fallback_reason
+        assert batch.native_active or reason.startswith("plan_refused"), reason
+    else:
+        assert not batch.native_active
+    return serial, batch, batched
 
 
 def assert_lanes_identical(serial, batched):
@@ -93,10 +129,11 @@ DRIVER_SWEEP = [{"d0": {"amplitude": a}} for a in (1.0, 2.0, 2.5, 3.25)]
 # ---------------------------------------------------------------------------
 # whole-library matrix
 # ---------------------------------------------------------------------------
-class TestLibraryMatrix:
+class TestLibraryMatrix(Matrix):
     @pytest.mark.parametrize("key", sorted(LIBRARY))
     def test_block_bit_identical(self, key):
-        serial, _sim, batched = run_pair(harness(LIBRARY[key]), DRIVER_SWEEP)
+        serial, _sim, batched = run_pair(harness(LIBRARY[key]), DRIVER_SWEEP,
+                                         native=self.native)
         assert_lanes_identical(serial, batched)
 
     @pytest.mark.parametrize("solver", ["euler", "rk4"])
@@ -106,23 +143,25 @@ class TestLibraryMatrix:
             DRIVER_SWEEP,
             solver=solver,
             t_final=0.2,
+            native=self.native,
         )
         assert_lanes_identical(serial, batched)
 
     def test_block_param_sweep(self):
         scenarios = [{"b": {"gain": g}} for g in (-2.5, -1.0, 0.5, 4.0)]
-        serial, _sim, batched = run_pair(harness(LIBRARY["gain"]), scenarios)
+        serial, _sim, batched = run_pair(harness(LIBRARY["gain"]), scenarios,
+                                         native=self.native)
         assert_lanes_identical(serial, batched)
 
 
 # ---------------------------------------------------------------------------
 # structure-specific models
 # ---------------------------------------------------------------------------
-class TestStructures:
+class TestStructures(Matrix):
     def test_mixed_rates(self):
         scenarios = [{"src": {"final": f}} for f in (0.5, 1.0, 1.5)]
         serial, _sim, batched = run_pair(
-            mixed_rate_model, scenarios, t_final=0.3
+            mixed_rate_model, scenarios, t_final=0.3, native=self.native
         )
         assert_lanes_identical(serial, batched)
 
@@ -134,23 +173,27 @@ class TestStructures:
             for b in range(4)
         ]
         serial, sim, batched = run_pair(
-            wide_affine_model, scenarios, t_final=0.2
+            wide_affine_model, scenarios, t_final=0.2, native=self.native
         )
-        assert sim.plan_stats["affine_rows"] >= 8
+        if not self.native:
+            assert sim.plan_stats["affine_rows"] >= 8
         assert_lanes_identical(serial, batched)
 
     def test_event_driven_subsystem(self):
         # EveryNSteps fires in every lane -> no divergence, but the full
         # per-lane dispatch path runs
-        serial, sim, batched = run_pair(event_model, [{}] * 3, t_final=0.05)
+        serial, sim, batched = run_pair(event_model, [{}] * 3, t_final=0.05,
+                                        native=self.native)
         assert_lanes_identical(serial, batched)
-        assert sim.lanes_diverged == 0
+        if not self.native:
+            assert sim.lanes_diverged == 0
 
     def test_mixed_rate_solvers(self):
         for solver in ("euler", "rk4"):
             scenarios = [{"src": {"final": f}} for f in (0.8, 1.2)]
             serial, _sim, batched = run_pair(
-                mixed_rate_model, scenarios, t_final=0.1, solver=solver
+                mixed_rate_model, scenarios, t_final=0.1, solver=solver,
+                native=self.native,
             )
             assert_lanes_identical(serial, batched)
 
@@ -194,32 +237,34 @@ def diverging_event_model():
     return m
 
 
-class TestLaneDivergence:
+class TestLaneDivergence(Matrix):
     def test_one_lane_fires_others_hold(self):
         # lane 2 exceeds the threshold and drives its ISR; lanes 0/1 never
         # trigger and must keep the untriggered trajectory bit-exactly
         scenarios = [{"level": {"value": v}} for v in (0.0, 0.5, 2.0)]
         serial, sim, batched = run_pair(
-            diverging_event_model, scenarios, t_final=0.02
+            diverging_event_model, scenarios, t_final=0.02, native=self.native
         )
         assert_lanes_identical(serial, batched)
-        assert sim.lanes_diverged > 0
+        if not self.native:
+            assert sim.lanes_diverged > 0
         assert batched.final("isr_y")[2] == 20.0
         assert batched.final("isr_y")[0] == 0.0
 
     def test_all_lanes_fire_no_divergence(self):
         scenarios = [{"level": {"value": v}} for v in (1.5, 2.0, 3.0)]
         serial, sim, batched = run_pair(
-            diverging_event_model, scenarios, t_final=0.02
+            diverging_event_model, scenarios, t_final=0.02, native=self.native
         )
         assert_lanes_identical(serial, batched)
-        assert sim.lanes_diverged == 0
+        if not self.native:
+            assert sim.lanes_diverged == 0
 
 
 # ---------------------------------------------------------------------------
 # servo case study
 # ---------------------------------------------------------------------------
-class TestServoCaseStudy:
+class TestServoCaseStudy(Matrix):
     @pytest.mark.parametrize("solver", ["euler", "rk4"])
     def test_gain_sweep_bit_identical(self, solver):
         from repro.casestudy import ServoConfig, build_servo_model
@@ -239,10 +284,12 @@ class TestServoCaseStudy:
             for s in (0.5, 1.0, 2.0)
         ]
         serial, sim, batched = run_pair(
-            factory, scenarios, t_final=0.1, dt=1e-4, solver=solver
+            factory, scenarios, t_final=0.1, dt=1e-4, solver=solver,
+            native=self.native,
         )
         # the plant and most of the controller must actually vectorize
-        assert sim.plan_stats["batch_blocks"] >= 5
+        if not self.native:
+            assert sim.plan_stats["batch_blocks"] >= 5
         assert_lanes_identical(serial, batched)
 
     def test_setpoint_sweep_fully_vectorized_controller(self):
@@ -255,16 +302,17 @@ class TestServoCaseStudy:
             {"controller.ref": {"value": v}} for v in (50.0, 80.0, 120.0)
         ]
         serial, sim, batched = run_pair(
-            factory, scenarios, t_final=0.1, dt=1e-4
+            factory, scenarios, t_final=0.1, dt=1e-4, native=self.native
         )
-        assert sim.plan_stats["lane_blocks"] <= 1  # only the timer block
+        if not self.native:
+            assert sim.plan_stats["lane_blocks"] <= 1  # only the timer block
         assert_lanes_identical(serial, batched)
 
 
 # ---------------------------------------------------------------------------
 # API surface
 # ---------------------------------------------------------------------------
-class TestBatchApi:
+class TestBatchApi(Matrix):
     def test_unknown_block_rejected(self):
         with pytest.raises(BatchPlanError, match="unknown block"):
             simulate_batch(
@@ -312,12 +360,36 @@ class TestBatchApi:
         sim = BatchSimulator(
             mixed_rate_model().compile(1e-3),
             [{}, {}],
-            SimulationOptions(dt=1e-3, t_final=0.01),
+            SimulationOptions(dt=1e-3, t_final=0.01, native=self.native),
         )
         sim.initialize()
+        assert sim.native_active == self.native
         sim.advance()
         sim.write_signal("hold", 0, -5.0, lane=1)
         row = sim.read_signal("hold", 0)
         assert row.shape == (2,)
         assert row[1] == -5.0
         assert sim.read_signal("hold", 0, lane=1) == -5.0
+
+
+# ---------------------------------------------------------------------------
+# the same matrix on native lanes
+# ---------------------------------------------------------------------------
+class TestLibraryMatrixNative(NativeLeg, TestLibraryMatrix):
+    pass
+
+
+class TestStructuresNative(NativeLeg, TestStructures):
+    pass
+
+
+class TestLaneDivergenceNative(NativeLeg, TestLaneDivergence):
+    pass
+
+
+class TestServoCaseStudyNative(NativeLeg, TestServoCaseStudy):
+    pass
+
+
+class TestBatchApiNative(NativeLeg, TestBatchApi):
+    pass

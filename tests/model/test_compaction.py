@@ -37,11 +37,13 @@ DT = 1e-3
 
 
 def run_batch(factory, scenarios, **sim_kwargs):
-    """One batched run with explicit compaction knobs."""
+    """One batched run with explicit compaction knobs, pinned to the
+    numpy engine (the subject here)."""
     sim = BatchSimulator(
         factory().compile(DT),
         scenarios,
-        SimulationOptions(dt=DT, t_final=T_FINAL, log_all_signals=True),
+        SimulationOptions(dt=DT, t_final=T_FINAL, log_all_signals=True,
+                          native=False),
         **sim_kwargs,
     )
     return sim, sim.run()

@@ -9,6 +9,8 @@ did not inherit.  A build still running when the interpreter exits is
 abandoned: exit does not wait for it, and neither its ``cc``, the
 passes that ``cc`` started, nor its temp file outlives the process; a
 build that reaches ``cc`` only after exit began does not start it.
+Builds of different artifacts run at most one ``cc`` per usable CPU at
+a time.
 """
 
 import multiprocessing
@@ -111,6 +113,47 @@ class TestSingleFlight:
             assert not sim.native_active
             assert sim.native_fallback_reason.startswith("compile_error")
         assert len(calls) == 1
+
+
+class TestConcurrentBuilds:
+    def test_slots_are_the_usable_cpus(self):
+        assert cache.cc_slots() == len(os.sched_getaffinity(0))
+
+    def test_cold_builds_never_overlap_beyond_the_slots(
+            self, tmp_path, monkeypatch):
+        require_cc()
+        slots = cache.cc_slots()
+        if slots > 4:  # keep the run small on a many-core host
+            slots = 4
+            monkeypatch.setattr(cache, "_cc_gate", threading.BoundedSemaphore(4))
+        log = tmp_path / "cc.log"
+        wrapper = tmp_path / "cc-wrapper"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            f'[ "$1" = "--version" ] && exec {find_cc()} --version\n'
+            f"echo start >> {log}\n"
+            "sleep 0.3\n"  # long enough that unbounded builds would overlap
+            f'{find_cc()} "$@"\n'
+            "rc=$?\n"
+            f"echo end >> {log}\n"
+            "exit $rc\n"
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("REPRO_NATIVE_CC", str(wrapper))
+        base = generate_tu(_sim(False))
+        sources = [f"{base}/* variant {k} */\n" for k in range(2 * slots)]
+        for source in sources:
+            assert cache.reuse_compiled(source) is None
+        assert cache.wait_pending(120)
+        running = peak = 0
+        for event in log.read_text().split():
+            running += 1 if event == "start" else -1
+            peak = max(peak, running)
+        assert log.read_text().split().count("end") == len(sources)
+        assert 1 <= peak <= slots
+        for source in sources:
+            path = cache.reuse_compiled(source)
+            assert path is not None and os.path.exists(path)
 
 
 class TestFingerprint:

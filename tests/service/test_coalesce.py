@@ -391,3 +391,100 @@ class TestServiceCoalescing:
             assert svc.scheduler.coalesce == CoalesceConfig(max_batch=4)
         finally:
             svc.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# coalesced batches ride native lanes
+# ---------------------------------------------------------------------------
+SERVO_DT = 1e-4
+SERVO_T = 0.02  # the serve_mixed MIL shape: 201 servo steps
+
+
+def servo_job(**overrides):
+    from repro.service.__main__ import servo_sweep_model
+
+    kwargs = dict(builder=servo_sweep_model, builder_kwargs={"bandwidth_hz": 6.0},
+                  dt=SERVO_DT, t_final=SERVO_T)
+    kwargs.update(overrides)
+    return MILRequest(**kwargs)
+
+
+class TestNativeLanes:
+    """After a warm-up built the artifact, coalesced jobs and batched
+    sweeps run as native lanes (the per-step cancel hook keeps them in
+    lockstep), with no fallback counted and results bit-equal."""
+
+    @pytest.fixture
+    def substrates(self, monkeypatch):
+        from repro.model import BatchSimulator
+        from repro.native import find_cc
+
+        if find_cc() is None:
+            pytest.skip("no C compiler on PATH: batches run the numpy engine")
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        seen = []
+        real = BatchSimulator.initialize
+
+        def initialize(sim):
+            real(sim)
+            seen.append(sim.substrate)
+
+        monkeypatch.setattr(BatchSimulator, "initialize", initialize)
+        return seen
+
+    @staticmethod
+    def fallbacks():
+        from repro.obs.metrics import get_registry
+
+        return sum(v for k, v in get_registry().snapshot().items()
+                   if k.startswith("kernel_fallback_total{"))
+
+    def test_coalesced_jobs_and_batch_sweep_run_native(self, substrates):
+        from repro.native import wait_pending
+        from repro.service.__main__ import servo_sweep_model
+
+        setpoints = (80.0, 120.0)
+        sweep = SweepRequest(
+            builder=servo_sweep_model,
+            execution="batch",
+            scenarios=[{"controller.ref": {"value": v}} for v in setpoints],
+            dt=SERVO_DT,
+            t_final=SERVO_T,
+        )
+        with SimServe(workers=1, coalesce=CFG) as svc:
+            svc.submit(servo_job()).result(timeout=60.0)  # warm-up
+            assert wait_pending(120)
+            before = self.fallbacks()
+            handles = [svc.submit(servo_job()) for _ in range(4)]
+            records = [h.record(timeout=60.0) for h in handles]
+            swept = svc.submit_sweep(sweep).handle.record(timeout=60.0)
+            assert self.fallbacks() == before
+        assert substrates == ["native", "native"]
+        reference = direct_run(servo_job())
+        for rec in records:
+            assert rec.state is JobState.DONE
+            assert rec.summary["coalesced"]["width"] == 4
+            for name in reference.names:
+                assert np.array_equal(rec.result[name], reference[name])
+        assert swept.state is JobState.DONE
+        for value, lane in zip(setpoints, swept.result.split()):
+            ref = direct_run(servo_job(builder_kwargs={"bandwidth_hz": 6.0,
+                                                       "setpoint": value}))
+            for name in ref.names:
+                assert np.array_equal(lane[name], ref[name])
+
+    def test_cancelling_every_member_cancels_the_lockstep_batch(self, substrates):
+        long_job = lambda: MILRequest(model=build_loop_model(), dt=1e-4,
+                                      t_final=60.0)
+        with SimServe(workers=1, coalesce=CFG) as svc:
+            handles = [svc.submit(long_job()) for _ in range(3)]
+            deadline = time.monotonic() + 30.0
+            while (handles[0].state is not JobState.RUNNING
+                   and time.monotonic() < deadline):
+                time.sleep(0.002)
+            time.sleep(0.05)  # well inside the run
+            for h in handles:
+                assert h.cancel()
+            assert svc.wait_all(handles, timeout=30.0)
+        assert substrates == ["native"]
+        assert all(h.state is JobState.CANCELLED for h in handles)
