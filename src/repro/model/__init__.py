@@ -23,7 +23,7 @@ from .types import DataType, DOUBLE, BOOLEAN, INT8, INT16, INT32, UINT8, UINT16,
 from .block import Block, BlockContext, SampleTime, CONTINUOUS, INHERITED
 from .graph import Model, Connection
 from .compiled import CompiledModel
-from .engine import Simulator, SimulationOptions
+from .engine import Simulator, SimulationCancelled, SimulationOptions
 from .result import SimulationResult, BatchSimulationResult
 from .batch import BatchSimulator, BatchScenario, BatchPlanError, simulate_batch
 from .array_backend import (
@@ -65,6 +65,7 @@ __all__ = [
     "Connection",
     "CompiledModel",
     "Simulator",
+    "SimulationCancelled",
     "SimulationOptions",
     "SimulationResult",
     "BatchSimulationResult",

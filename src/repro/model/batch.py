@@ -14,9 +14,10 @@ by re-emitting just the blocks the scenarios override
 (:meth:`~repro.native.emit.NativeProgram.relower`).  A lane whose
 override selects another emitted form (a gain of exactly -1) gets an
 artifact of its own.  Without a ``step_hook`` each lane runs whole
-chunks in C; with one, the lanes advance in lockstep so the hook sees
-every lane at each step.  ``S``/``X`` are then ``(n, B)`` views of the
-lanes' ``(B, n)`` buffers, so taps read and write the same way on both
+chunks in C, with ``SimulationOptions.cancel`` polled between chunks;
+with one, the lanes advance in lockstep so the hook sees every lane at
+each step.  ``S``/``X`` are then ``(n, B)`` views of the lanes'
+``(B, n)`` buffers, so taps read and write the same way on both
 executors.
 
 The second, the **numpy engine**, takes the whole ensemble when native
@@ -76,7 +77,12 @@ from ..obs.trace import get_tracer
 from .array_backend import ArrayBackend, get_array_backend
 from .block import Block, BlockContext
 from .compiled import CompiledModel
-from .engine import SimulationOptions, Simulator
+from .engine import (
+    SimulationCancelled,
+    SimulationOptions,
+    Simulator,
+    advance_steps,
+)
 from .graph import Model
 from .kernels import (
     BatchAffineKernel,
@@ -558,17 +564,20 @@ class BatchSimulator:
 
     def _run_lanes(self, n_steps: int) -> None:
         """``n_steps`` major steps on every lane: one ``nx_run`` call per
-        lane chunk, its scope (and trace) rows written into the logs."""
+        lane chunk, its scope (and trace) rows written into the logs;
+        ``cancel`` is polled before each chunk of every lane."""
         dt = self.options.dt
         want_trace = self.options.log_all_signals
+        cancel = self.options.cancel
         n0 = self._log_len
         if self._t_log is None or self._t_log.shape[0] < n0 + n_steps:
             self._grow_logs(n0 + n_steps)
-        start = self.step_index
         chunk = Simulator._NATIVE_CHUNK
         for done in range(0, n_steps, chunk):
+            step = self.step_index
+            if cancel is not None and cancel():
+                raise SimulationCancelled(step)
             n = min(chunk, n_steps - done)
-            step = start + done
             rows = slice(n0 + done, n0 + done + n)
             for b, lane in enumerate(self._lanes):
                 scope, trace = lane.run_chunk(step, n, want_trace)
@@ -578,9 +587,9 @@ class BatchSimulator:
                     self._trace[rows, :, b] = trace
             # t = step * dt per step, the product advance() forms
             self._t_log[rows] = np.arange(step, step + n) * dt
-        self._log_len = n0 + n_steps
-        self.step_index = start + n_steps
-        self.time = self.step_index * dt
+            self._log_len = n0 + done + n
+            self.step_index = step + n
+            self.time = self.step_index * dt
 
     # ------------------------------------------------------------------
     # numpy engine
@@ -1065,9 +1074,7 @@ class BatchSimulator:
         if self._lanes is not None and self.options.step_hook is None:
             self._run_lanes(n_steps)
             return
-        advance = self.advance
-        for _ in range(n_steps):
-            advance()
+        advance_steps(self, n_steps)
 
     def _count_run(self, n_steps: int) -> None:
         from ..obs.metrics import get_registry

@@ -13,6 +13,10 @@ fixed-step semantics:
 The per-step hook mechanism (``SimulationOptions.step_hook``) is how the
 PIL co-simulation in :mod:`repro.sim` splices a serial-line exchange into
 the loop without changing the model — the paper's single-model property.
+A caller that only needs to stop a run (SimServe's job cancellation)
+passes ``SimulationOptions.cancel`` instead: :meth:`Simulator.run` polls
+it between bounded native chunks or before every Python step, and a
+true poll raises :class:`SimulationCancelled`.
 
 Two execution paths share these semantics:
 
@@ -47,6 +51,15 @@ from .graph import Model
 from .result import SignalLog, SimulationResult
 
 
+class SimulationCancelled(Exception):
+    """A run stopped because its ``SimulationOptions.cancel`` predicate
+    read true; ``step_index`` is the major step it stopped before."""
+
+    def __init__(self, step_index: int):
+        super().__init__(f"simulation cancelled at step {step_index}")
+        self.step_index = step_index
+
+
 @dataclass
 class SimulationOptions:
     """Knobs for a simulation run."""
@@ -57,6 +70,12 @@ class SimulationOptions:
     log_all_signals: bool = False
     #: called after every major step as hook(t, engine)
     step_hook: Optional[Callable[[float, "Simulator"], None]] = None
+    #: zero-argument predicate that ``run()`` polls before every chunk
+    #: of at most ``Simulator._NATIVE_CHUNK`` native steps (before every
+    #: step on the Python paths); a true poll raises
+    #: :class:`SimulationCancelled`.  Unlike a hook it keeps native runs
+    #: on the chunked loop.
+    cancel: Optional[Callable[[], bool]] = None
     #: use the compiled kernel fast path when the model supports it
     use_kernels: bool = True
     #: compile the model to a native C extension and run the step loop
@@ -639,14 +658,12 @@ class Simulator:
             self.initialize()
         n_steps = int(round(self.options.t_final / self.options.dt)) + 1
         self._reserve_logs(n_steps)
-        advance = self.advance
         tr = self._tracer
         if not tr.enabled:
             if (self.native_path is not None
                     and self.options.step_hook is None):
                 return self._run_native(n_steps)
-            for _ in range(n_steps):
-                advance()
+            advance_steps(self, n_steps)
             return self.result()
         opts = self.options
         if self.native_path is not None:
@@ -657,27 +674,31 @@ class Simulator:
             "dt": opts.dt, "t_final": opts.t_final, "solver": opts.solver,
             "steps": n_steps, "substrate": substrate,
         }):
-            for _ in range(n_steps):
-                advance()
+            advance_steps(self, n_steps)
         self._count_run(n_steps)
         return self.result()
 
-    #: steps per native whole-loop call — keeps scope/trace staging
-    #: buffers modest while amortizing the FFI call overhead
-    _NATIVE_CHUNK = 65536
+    #: steps per native whole-loop call, and so the most steps a native
+    #: run makes between two ``cancel`` polls — keeps scope/trace
+    #: staging buffers modest while amortizing the FFI call overhead
+    _NATIVE_CHUNK = 4096
 
     def _run_native(self, n_steps: int) -> SimulationResult:
         """Whole-loop execution inside the extension: ``nx_run`` steps
         in chunks, scope samples (and optionally full signal rows) come
-        back as arrays and extend the logs in bulk."""
+        back as arrays and extend the logs in bulk.  ``cancel`` is
+        polled before each chunk."""
         native = self.native_path
         dt = self.options.dt
         want_trace = self.options.log_all_signals
+        cancel = self.options.cancel
         scope_names = [qname for qname, _idx in self._scope_sched]
         done = 0
         while done < n_steps:
-            n = min(self._NATIVE_CHUNK, n_steps - done)
             start = self.step_index
+            if cancel is not None and cancel():
+                raise SimulationCancelled(start)
+            n = min(self._NATIVE_CHUNK, n_steps - done)
             scope, trace = native.run_chunk(start, n, want_trace)
             # t = step * dt per step, the reference advance() product
             self._times.extend(np.arange(start, start + n) * dt)
@@ -744,6 +765,18 @@ class Simulator:
     def write_signal(self, qname: str, port: int, value: float) -> None:
         """Force a value onto an output line (co-simulation injection)."""
         self.signals[self.cm.sig_index[(qname, port)]] = float(value)
+
+
+def advance_steps(sim, n_steps: int) -> None:
+    """``n_steps`` calls of ``sim.advance()`` (a :class:`Simulator` or a
+    ``BatchSimulator``), polling ``sim.options.cancel`` before each: the
+    step loop of the Python paths and of traced or hooked runs."""
+    advance = sim.advance
+    cancel = sim.options.cancel
+    for _ in range(n_steps):
+        if cancel is not None and cancel():
+            raise SimulationCancelled(sim.step_index)
+        advance()
 
 
 def simulate(

@@ -349,8 +349,9 @@ class JobHandle:
         """Request cancellation.
 
         Pending jobs are skipped by the workers; running MIL jobs abort at
-        the next major step (cooperative, via the engine step hook).
-        Returns False when the job already finished.
+        the run's next cancel poll (cooperative: at most
+        ``Simulator._NATIVE_CHUNK`` native steps, or one Python step,
+        away).  Returns False when the job already finished.
         """
         if self._job.state.terminal:
             return False

@@ -2,17 +2,20 @@
 
 Workers pull jobs off the :class:`~repro.service.scheduler.Scheduler`
 and execute them through the typed-request dispatch below.  MIL jobs go
-through the :class:`~repro.service.model_cache.ModelCache` and run on the
-PR-2 kernel fast path; PIL and campaign-cell jobs build their own rigs
-(those substrates are single-use by contract).
+through the :class:`~repro.service.model_cache.ModelCache` and run on
+whatever executor the engine binds (the native artifact once it is
+built, else the Python kernel path); PIL and campaign-cell jobs build
+their own rigs (those substrates are single-use by contract).
 
 Two backends:
 
 * ``"thread"`` (default) — jobs run on the worker threads themselves.
   The compiled-model cache is shared service-wide, cancellation is
-  cooperative mid-run (the engine step hook checks the job's cancel
-  event every major step), and results never cross a pickle boundary, so
-  any model — including unserialisable chart models — is accepted.
+  cooperative mid-run (the job's cancel event is the run's
+  ``SimulationOptions.cancel`` predicate, polled between native chunks
+  of at most ``Simulator._NATIVE_CHUNK`` steps or before every Python
+  step), and results never cross a pickle boundary, so any model —
+  including unserialisable chart models — is accepted.
 * ``"process"`` — worker threads proxy jobs into a shared
   :class:`~concurrent.futures.ProcessPoolExecutor`.  Requests must be
   picklable (module-level builders, like
@@ -82,6 +85,16 @@ def execute_request(
     raise TypeError(f"unknown request type {type(request).__name__}")
 
 
+def _run(sim) -> Any:
+    """``sim.run()``, with a cancelled run raised as :class:`JobCancelled`."""
+    from repro.model.engine import SimulationCancelled
+
+    try:
+        return sim.run()
+    except SimulationCancelled as exc:
+        raise JobCancelled() from exc
+
+
 def _execute_mil(
     req: MILRequest, cache: ModelCache, cancel_event: Optional[threading.Event],
     phases: Optional[dict] = None,
@@ -90,11 +103,6 @@ def _execute_mil(
 
     t_cache = time.perf_counter()
     model = req.resolve_model()
-    hook = None
-    if cancel_event is not None:
-        def hook(t, engine, _ev=cancel_event):
-            if _ev.is_set():
-                raise JobCancelled()
     with cache.lease(model, req.dt) as (cm, hit):
         t_run = time.perf_counter()
         if phases is not None:
@@ -105,9 +113,9 @@ def _execute_mil(
             solver=req.solver,
             use_kernels=req.use_kernels,
             log_all_signals=req.log_all_signals,
-            step_hook=hook,
+            cancel=cancel_event.is_set if cancel_event is not None else None,
         )
-        result = Simulator(cm, opts).run()
+        result = _run(Simulator(cm, opts))
         if phases is not None:
             phases["run"] = time.perf_counter() - t_run
     summary = {
@@ -131,11 +139,6 @@ def _execute_batch_sweep(
 
     t_cache = time.perf_counter()
     model = req.resolve_model()
-    hook = None
-    if cancel_event is not None:
-        def hook(t, engine, _ev=cancel_event):
-            if _ev.is_set():
-                raise JobCancelled()
     with cache.lease(model, req.dt) as (cm, hit):
         t_run = time.perf_counter()
         if phases is not None:
@@ -146,10 +149,10 @@ def _execute_batch_sweep(
             solver=req.solver,
             use_kernels=req.use_kernels,
             log_all_signals=req.log_all_signals,
-            step_hook=hook,
+            cancel=cancel_event.is_set if cancel_event is not None else None,
         )
         sim = BatchSimulator(cm, req.scenarios, opts)
-        result = sim.run()
+        result = _run(sim)
         if phases is not None:
             phases["run"] = time.perf_counter() - t_run
     summary = {
@@ -209,11 +212,10 @@ def execute_coalesced(
                     sc = BatchScenario(sc.overrides, label=f"lane{j}")
                 scenarios.append(sc)
             lane_specs.append((start, len(scenarios) - start))
-    hook = None
+    cancel = None
     if cancel_events:
-        def hook(t, engine, _evs=list(cancel_events)):
-            if all(ev.is_set() for ev in _evs):
-                raise JobCancelled()
+        def cancel(_evs=tuple(cancel_events)) -> bool:
+            return all(ev.is_set() for ev in _evs)
     timing = phases_out is not None
     t_cache = time.perf_counter()
     with cache.lease(model, base.dt) as (cm, hit):
@@ -225,10 +227,10 @@ def execute_coalesced(
             solver=base.solver,
             use_kernels=base.use_kernels,
             log_all_signals=base.log_all_signals,
-            step_hook=hook,
+            cancel=cancel,
         )
         sim = BatchSimulator(cm, scenarios, opts)
-        batched = sim.run()
+        batched = _run(sim)
         run_s = time.perf_counter() - t_run
     outs = []
     n_steps = int(batched.t.shape[0])

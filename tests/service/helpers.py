@@ -7,6 +7,7 @@ carrying them stay picklable for the process backend — the same contract
 
 from __future__ import annotations
 
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +30,44 @@ def build_loop_model(gain: float = 2.0, setpoint: float = 1.0) -> Model:
     m.connect(ctrl, plant)
     m.connect(plant, scope)
     return m
+
+
+class Gate:
+    """Holds a worker inside a job until the test releases it.
+
+    A test that needs "the worker is busy" must not rely on a run being
+    slow: a 10 s loop-model job takes milliseconds on the native loop.
+    :func:`gated_loop_model` sets :attr:`entered` and then blocks the
+    worker until :meth:`release`.  Used as a context manager inside the
+    service's ``with`` (``with SimServe(...) as svc, Gate() as gate:``)
+    it is released on the way out, before the service waits for its
+    workers, so a failing assertion does not leave a worker held.
+    """
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self._released = threading.Event()
+
+    def hold(self, timeout: float = 60.0) -> None:
+        self.entered.set()
+        if not self._released.wait(timeout):
+            raise TimeoutError("gate never released")
+
+    def release(self) -> None:
+        self._released.set()
+
+    def __enter__(self) -> "Gate":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.release()
+
+
+def gated_loop_model(gate: Gate, **kwargs) -> Model:
+    """:func:`build_loop_model`, once ``gate`` is released (a MIL builder
+    for the thread backend only: a :class:`Gate` does not pickle)."""
+    gate.hold()
+    return build_loop_model(**kwargs)
 
 
 def crashing_builder(**_kwargs) -> Model:

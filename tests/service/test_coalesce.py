@@ -34,7 +34,12 @@ from repro.service import (
     coalesce_key,
 )
 
-from tests.service.helpers import build_loop_model, crashing_builder, make_fake_pil
+from tests.service.helpers import (
+    Gate,
+    build_loop_model,
+    crashing_builder,
+    make_fake_pil,
+)
 
 DT = 1e-3
 T_FINAL = 0.05
@@ -411,8 +416,8 @@ def servo_job(**overrides):
 
 class TestNativeLanes:
     """After a warm-up built the artifact, coalesced jobs and batched
-    sweeps run as native lanes (the per-step cancel hook keeps them in
-    lockstep), with no fallback counted and results bit-equal."""
+    sweeps run as native lanes, with no fallback counted and results
+    bit-equal."""
 
     @pytest.fixture
     def substrates(self, monkeypatch):
@@ -431,6 +436,26 @@ class TestNativeLanes:
 
         monkeypatch.setattr(BatchSimulator, "initialize", initialize)
         return seen
+
+    @pytest.fixture
+    def held(self, substrates, monkeypatch):
+        """``(gate, sims)``: every batch is held inside ``run()``, right
+        after ``initialize``, until ``gate`` is released, and lands in
+        ``sims``; the batch is then in flight however fast it runs.  A
+        test enters ``gate`` inside its service's ``with``, so a failure
+        releases it before the service waits for its worker."""
+        from repro.model import BatchSimulator
+
+        gate, sims = Gate(), []
+        initialize = BatchSimulator.initialize  # the substrates wrapper
+
+        def held_initialize(sim):
+            initialize(sim)
+            sims.append(sim)
+            gate.hold()
+
+        monkeypatch.setattr(BatchSimulator, "initialize", held_initialize)
+        return gate, sims
 
     @staticmethod
     def fallbacks():
@@ -473,18 +498,19 @@ class TestNativeLanes:
             for name in ref.names:
                 assert np.array_equal(lane[name], ref[name])
 
-    def test_cancelling_every_member_cancels_the_lockstep_batch(self, substrates):
+    def test_cancelling_every_member_cancels_the_lockstep_batch(self, substrates,
+                                                                 held):
+        gate, sims = held
         long_job = lambda: MILRequest(model=build_loop_model(), dt=1e-4,
                                       t_final=60.0)
-        with SimServe(workers=1, coalesce=CFG) as svc:
+        with SimServe(workers=1, coalesce=CFG) as svc, gate:
             handles = [svc.submit(long_job()) for _ in range(3)]
-            deadline = time.monotonic() + 30.0
-            while (handles[0].state is not JobState.RUNNING
-                   and time.monotonic() < deadline):
-                time.sleep(0.002)
-            time.sleep(0.05)  # well inside the run
+            assert gate.entered.wait(30.0)  # the batch is inside its run
             for h in handles:
                 assert h.cancel()
+            gate.release()
             assert svc.wait_all(handles, timeout=30.0)
         assert substrates == ["native"]
         assert all(h.state is JobState.CANCELLED for h in handles)
+        # stopped by its first cancel poll, not demuxed after 600001 steps
+        assert sims[0].step_index <= Simulator._NATIVE_CHUNK

@@ -1,14 +1,17 @@
 """SimServe end-to-end: determinism, caching, backpressure, robustness."""
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.faults import FaultCampaign, FaultPlan, LineDropout
+from repro.model import SimulationCancelled, Simulator
 from repro.model.engine import simulate
 from repro.service import (
     CampaignCellRequest,
+    JobCancelled,
     JobFailed,
     JobPriority,
     JobState,
@@ -19,8 +22,16 @@ from repro.service import (
     SweepRequest,
 )
 from repro.service.__main__ import servo_sweep_model
+from repro.service.model_cache import ModelCache
+from repro.service.workers import execute_coalesced, execute_request
 
-from .helpers import build_loop_model, crashing_builder, make_fake_pil
+from .helpers import (
+    Gate,
+    build_loop_model,
+    crashing_builder,
+    gated_loop_model,
+    make_fake_pil,
+)
 
 BANDWIDTHS = (4.0, 6.0, 8.0)
 DT = 1e-4
@@ -34,18 +45,22 @@ def _direct_results():
     ]
 
 
-def _long_job(t_final=10.0):
-    return MILRequest(model=build_loop_model(), dt=1e-4, t_final=t_final)
+def _long_job(gate, t_final=10.0):
+    """A 10 s loop-model job that keeps its worker busy until ``gate`` is
+    released, however fast the run itself is."""
+    return MILRequest(builder=gated_loop_model, builder_kwargs={"gate": gate},
+                      dt=1e-4, t_final=t_final)
 
 
 def _quick_job(**kwargs):
     return MILRequest(model=build_loop_model(**kwargs), dt=1e-3, t_final=0.01)
 
 
-def _wait_running(handle, timeout=5.0):
+def _wait_running(handle, gate, timeout=5.0):
+    """Until ``handle`` runs and its worker is held at ``gate``."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if handle.state is JobState.RUNNING:
+        if handle.state is JobState.RUNNING and gate.entered.is_set():
             return
         time.sleep(0.002)
     raise AssertionError(f"job never started: {handle.state}")
@@ -219,9 +234,10 @@ class TestCache:
 
 class TestBackpressure:
     def test_queue_full_is_explicit_reject_not_hang(self):
-        with SimServe(workers=1, queue_depth=1, autostart=True) as svc:
-            running = svc.submit(_long_job())
-            _wait_running(running)
+        with (SimServe(workers=1, queue_depth=1, autostart=True) as svc,
+              Gate() as gate):
+            running = svc.submit(_long_job(gate))
+            _wait_running(running, gate)
             pending = svc.submit(_quick_job())  # fills the queue
             t0 = time.monotonic()
             with pytest.raises(QueueFull):
@@ -230,12 +246,13 @@ class TestBackpressure:
             assert svc.metrics_snapshot()["jobs"]["rejected"] == 1
             pending.cancel()
             running.cancel()
+            gate.release()
             assert running.wait(30.0)
 
     def test_half_admitted_sweep_rolls_back(self):
-        with SimServe(workers=1, queue_depth=2) as svc:
-            running = svc.submit(_long_job())
-            _wait_running(running)
+        with SimServe(workers=1, queue_depth=2) as svc, Gate() as gate:
+            running = svc.submit(_long_job(gate))
+            _wait_running(running, gate)
             with pytest.raises(QueueFull):
                 svc.submit_sweep(
                     SweepRequest(
@@ -246,6 +263,7 @@ class TestBackpressure:
                     )
                 )
             running.cancel()
+            gate.release()
             assert running.wait(30.0)
             svc.shutdown(cancel_pending=True)
             # rolled-back children never execute
@@ -254,10 +272,11 @@ class TestBackpressure:
 
 class TestCancellation:
     def test_cancel_running_job_frees_worker(self):
-        with SimServe(workers=1) as svc:
-            running = svc.submit(_long_job())
-            _wait_running(running)
+        with SimServe(workers=1) as svc, Gate() as gate:
+            running = svc.submit(_long_job(gate))
+            _wait_running(running, gate)
             assert running.cancel()
+            gate.release()  # the run starts cancelled: its first poll stops it
             assert running.wait(30.0)
             assert running.state is JobState.CANCELLED
             # worker is free again: a follow-up job completes promptly
@@ -265,23 +284,25 @@ class TestCancellation:
             assert nxt.record(30.0).state is JobState.DONE
 
     def test_cancel_pending_job_never_runs(self):
-        with SimServe(workers=1) as svc:
-            running = svc.submit(_long_job())
-            _wait_running(running)
+        with SimServe(workers=1) as svc, Gate() as gate:
+            running = svc.submit(_long_job(gate))
+            _wait_running(running, gate)
             queued = svc.submit(_quick_job())
             assert queued.cancel()
             running.cancel()
+            gate.release()
             assert queued.wait(30.0)
             assert queued.state is JobState.CANCELLED
             assert queued.record().exec_s is None  # never started
 
     def test_deadline_shed_end_to_end(self):
-        with SimServe(workers=1) as svc:
-            running = svc.submit(_long_job())
-            _wait_running(running)
+        with SimServe(workers=1) as svc, Gate() as gate:
+            running = svc.submit(_long_job(gate))
+            _wait_running(running, gate)
             doomed = svc.submit(_quick_job(), deadline_s=0.02)
             time.sleep(0.1)  # deadline lapses while the worker is busy
             running.cancel()
+            gate.release()
             assert doomed.wait(30.0)
             assert doomed.state is JobState.EXPIRED
             with pytest.raises(JobFailed):
@@ -289,11 +310,74 @@ class TestCancellation:
             assert svc.metrics_snapshot()["jobs"]["shed"] == 1
 
 
+class FlippingEvent(threading.Event):
+    """A cancel event whose ``is_set()`` reads true from its ``k``-th
+    call on."""
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.k = k
+        self.calls = 0
+
+    def is_set(self) -> bool:
+        self.calls += 1
+        return self.calls >= self.k
+
+
+class TestCancelPolls:
+    """A job's cancel event is its run's ``cancel`` predicate: the run
+    stops at the poll where the event reads set, at most ``K`` chunks of
+    ``Simulator._NATIVE_CHUNK`` steps in, and the job raises
+    ``JobCancelled``."""
+
+    K = 3
+
+    @staticmethod
+    def servo_job():
+        # 10001 steps: three native chunks, so a third poll exists
+        return MILRequest(builder=servo_sweep_model,
+                          builder_kwargs={"bandwidth_hz": 6.0},
+                          dt=DT, t_final=1.0)
+
+    def assert_cancelled(self, excinfo, event):
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, SimulationCancelled)
+        assert event.calls == self.K
+        assert cause.step_index <= self.K * Simulator._NATIVE_CHUNK
+
+    def test_mil_job(self):
+        event = FlippingEvent(self.K)
+        with pytest.raises(JobCancelled) as excinfo:
+            execute_request(self.servo_job(), ModelCache(), event)
+        self.assert_cancelled(excinfo, event)
+
+    def test_batched_sweep(self):
+        sweep = SweepRequest(
+            builder=servo_sweep_model,
+            execution="batch",
+            scenarios=[{"controller.ref": {"value": v}} for v in (80.0, 120.0)],
+            dt=DT,
+            t_final=1.0,
+        )
+        event = FlippingEvent(self.K)
+        with pytest.raises(JobCancelled) as excinfo:
+            execute_request(sweep, ModelCache(), event)
+        self.assert_cancelled(excinfo, event)
+
+    def test_coalesced_batch(self):
+        event, other = FlippingEvent(self.K), threading.Event()
+        other.set()
+        with pytest.raises(JobCancelled) as excinfo:
+            execute_coalesced([self.servo_job(), self.servo_job()],
+                              ModelCache(), [event, other])
+        self.assert_cancelled(excinfo, event)
+
+
 class TestPriorities:
     def test_high_priority_sweep_overtakes_low(self):
-        with SimServe(workers=1) as svc:
-            blocker = svc.submit(_long_job())
-            _wait_running(blocker)
+        with SimServe(workers=1) as svc, Gate() as gate:
+            blocker = svc.submit(_long_job(gate))
+            _wait_running(blocker, gate)
             low = svc.submit_sweep(
                 SweepRequest(
                     builder=servo_sweep_model,
@@ -313,6 +397,7 @@ class TestPriorities:
                 priority=JobPriority.HIGH,
             )
             blocker.cancel()
+            gate.release()
             assert high.wait(60.0) and low.wait(60.0)
             last_high = max(h._job.finished_at for h in high.handles)
             first_low = min(h._job.finished_at for h in low.handles)
