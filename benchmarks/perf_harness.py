@@ -297,9 +297,16 @@ def bench_continuous_batching(n_jobs: int = 16, t_final: float = 0.4) -> dict:
     The gated serial leg runs under ``REPRO_NATIVE=off``: its opponent
     is the serial Python kernel path the floor was calibrated on, while
     a short MIL job binds the native artifact once it is built.  The
-    same serial jobs on that artifact are reported ungated
-    (``serial_native_s``, ``coalesced_vs_serial_native``).  The
     coalesced leg runs on native lanes once the artifact is built.
+
+    Ungated, ``coalesced_vs_serial_native`` compares the vector path
+    with serial native jobs on queued work: ``n_jobs`` requests through
+    one :func:`execute_coalesced` against ``n_jobs``
+    :func:`execute_request` calls, on one warm ``ModelCache`` with the
+    artifact built (best of 20 per side, interleaved).
+    Timing the staggered service legs instead would measure the 1 ms
+    arrival spacing: with chunked native jobs the serial leg finishes
+    each job before the next arrives.
     """
     import os
     from unittest import mock
@@ -309,7 +316,8 @@ def bench_continuous_batching(n_jobs: int = 16, t_final: float = 0.4) -> dict:
     from repro.model import Model, SimulationOptions, Simulator
     from repro.model.library import Constant, Gain, Integrator, Scope, Sum
     from repro.native import wait_pending
-    from repro.service import CoalesceConfig, MILRequest, SimServe
+    from repro.service import CoalesceConfig, MILRequest, ModelCache, SimServe
+    from repro.service.workers import execute_coalesced, execute_request
 
     def build_loop() -> Model:
         m = Model("coalesce_bench_loop")
@@ -357,7 +365,26 @@ def bench_continuous_batching(n_jobs: int = 16, t_final: float = 0.4) -> dict:
     with mock.patch.dict(os.environ, REPRO_NATIVE="off"):
         serial_s = serial_leg()
     wait_pending()  # the reference run above started the artifact build
-    serial_native_s = serial_leg()
+
+    cache = ModelCache()
+    queued = [MILRequest(model=model, dt=dt, t_final=t_final)
+              for _ in range(n_jobs)]
+    execute_request(queued[0], cache)  # warm: compiled model + artifact
+
+    legs = {
+        "serial": lambda: [execute_request(req, cache)[1] for req in queued],
+        "coalesced": lambda: [out[1] for out in execute_coalesced(queued, cache)],
+    }
+    queued_s = dict.fromkeys(legs, float("inf"))
+    for k in range(20):
+        for leg in (("serial", "coalesced") if k % 2 == 0
+                    else ("coalesced", "serial")):
+            t0 = time.perf_counter()
+            lanes = legs[leg]()
+            queued_s[leg] = min(queued_s[leg], time.perf_counter() - t0)
+            assert all(np.array_equal(lane[name], ref[name])
+                       for lane in lanes for name in ref.names)
+
     cfg = CoalesceConfig(max_batch=n_jobs, window_s=0.04)
     coalesced_s = float("inf")
     for _ in range(3):
@@ -378,10 +405,11 @@ def bench_continuous_batching(n_jobs: int = 16, t_final: float = 0.4) -> dict:
     return {
         "jobs": n_jobs,
         "serial_s": serial_s,
-        "serial_native_s": serial_native_s,
+        "serial_native_s": queued_s["serial"],
+        "coalesced_native_s": queued_s["coalesced"],
         "coalesced_s": coalesced_s,
         "coalesced_speedup": serial_s / coalesced_s,
-        "coalesced_vs_serial_native": serial_native_s / coalesced_s,
+        "coalesced_vs_serial_native": queued_s["serial"] / queued_s["coalesced"],
         "coalesced_jobs_per_s": n_jobs / coalesced_s,
         "batches": snap["coalesce"]["batches"],
         "coalesced_jobs": snap["coalesce"]["jobs"],
@@ -475,36 +503,73 @@ def bench_lane_compaction(n_lanes: int = 16, t_final: float = 0.4) -> dict:
     }
 
 
-def bench_tracing_overhead(t_final: float = 0.5) -> dict:
+def bench_tracing_overhead(pairs: int = 120, chunk: int = 250) -> dict:
     """Engine hot-loop cost of *enabled* tracing (sampled major-step
     spans at the default stride) against the disabled tracer.
 
-    Best-of-3 on each side, interleaved, so a scheduler hiccup cannot
-    charge one configuration with the other's noise.  The disabled case
-    is the default configuration — its cost is a single predicate per
-    step and is what every non-tracing user pays."""
+    One servo ``Simulator`` on the Python kernel path runs ``pairs``
+    pairs of ``chunk``-step chunks with its bound tracer switched on and
+    off between chunks, in ABBA order, so both sides share the
+    simulator, the thread and the host.  The overhead is the median over
+    pairs of the on/off chunk-time ratio; each side's median rate is
+    reported with its spread (interquartile range over median).  The
+    host's speed can jump by up to 2x between phases and leave each
+    side's chunk times bimodal, which moves a ratio of the two side
+    medians by several percent while barely touching two adjacent chunks
+    of a pair.  The best of three fresh simulators per side, as this
+    bench once ran, read 0 % to 17 % in three calls on a shared 2-vCPU
+    host.  The disabled case is the default configuration — its cost is
+    a single predicate per step and is what every non-tracing user pays.
+    """
+    import statistics
+
+    from repro.casestudy import ServoConfig, build_servo_model
+    from repro.model import Simulator, SimulationOptions
     from repro.obs import Tracer, use_tracer
 
-    def run(enabled: bool) -> tuple[float, int]:
-        tracer = Tracer(enabled=enabled)
-        with use_tracer(tracer):
-            r = bench_engine(use_kernels=True, t_final=t_final)
-        return r["steps_per_s"], len(tracer)
+    dt = 1e-4
+    n_steps = (2 * pairs + 1) * chunk  # one warm-up chunk
+    tracer = Tracer(enabled=False)
+    with use_tracer(tracer):
+        sm = build_servo_model(ServoConfig(setpoint=100.0))
+        # native=False: the traced path under test is the Python engine's
+        sim = Simulator(sm.model, SimulationOptions(
+            dt=dt, t_final=n_steps * dt, use_kernels=True, native=False,
+        ))
+        sim.initialize()
+    sim._reserve_logs(n_steps + 1)
 
-    disabled_s, enabled_s, events = 0.0, 0.0, 0
-    for _ in range(3):
-        d, n_d = run(False)
-        e, n_e = run(True)
-        assert n_d == 0, "disabled tracer buffered events"
-        disabled_s = max(disabled_s, d)
-        enabled_s = max(enabled_s, e)
-        events = max(events, n_e)
-    overhead_pct = max(0.0, (disabled_s / enabled_s - 1.0) * 100.0)
+    def run_chunk(enabled: bool) -> float:
+        tracer.enabled = enabled
+        before = len(tracer)
+        t0 = time.perf_counter()
+        for _ in range(chunk):
+            sim.advance()
+        elapsed = time.perf_counter() - t0
+        assert enabled or len(tracer) == before, "disabled tracer buffered events"
+        return elapsed
+
+    run_chunk(False)
+    seconds: dict[bool, list[float]] = {False: [], True: []}
+    for k in range(pairs):
+        for enabled in ((False, True) if k % 2 == 0 else (True, False)):
+            seconds[enabled].append(run_chunk(enabled))
+    ratio = statistics.median(
+        on / off for off, on in zip(seconds[False], seconds[True])
+    )
+    quartiles = {enabled: statistics.quantiles(times, n=4)
+                 for enabled, times in seconds.items()}
     return {
-        "steps_per_s_disabled": disabled_s,
-        "steps_per_s_enabled": enabled_s,
-        "events_captured": events,
-        "tracing_overhead_pct": overhead_pct,
+        "chunk_steps": chunk,
+        "chunk_pairs": pairs,
+        "steps_per_s_disabled": chunk / quartiles[False][1],
+        "steps_per_s_enabled": chunk / quartiles[True][1],
+        "steps_per_s_disabled_spread_pct":
+            (quartiles[False][2] - quartiles[False][0]) / quartiles[False][1] * 100.0,
+        "steps_per_s_enabled_spread_pct":
+            (quartiles[True][2] - quartiles[True][0]) / quartiles[True][1] * 100.0,
+        "events_captured": len(tracer),
+        "tracing_overhead_pct": max(0.0, (ratio - 1.0) * 100.0),
     }
 
 
@@ -1105,7 +1170,7 @@ def main(argv=None) -> int:
             f"({cb['jobs']} staggered jobs -> {cb['batches']} vector job(s), "
             f"max width {cb['max_width']}, bit_identical={cb['bit_identical']}); "
             f"{cb['coalesced_vs_serial_native']:.2f}x over serial native "
-            f"jobs (ungated)"
+            f"jobs, queued (ungated)"
         )
     if "compaction" in fresh:
         comp = fresh["compaction"]
@@ -1121,6 +1186,13 @@ def main(argv=None) -> int:
             f"({obs['steps_per_s_disabled']:.0f} -> {obs['steps_per_s_enabled']:.0f} "
             f"steps/s, {obs['events_captured']} events captured)"
         )
+        if "chunk_pairs" in obs:
+            print(
+                f"         median ratio of {obs['chunk_pairs']} ABBA pairs "
+                f"of {obs['chunk_steps']}-step chunks, spread "
+                f"{obs['steps_per_s_disabled_spread_pct']:.0f}% / "
+                f"{obs['steps_per_s_enabled_spread_pct']:.0f}%"
+            )
         if "ops_overhead_pct" in obs:
             print(
                 f"ops plane: {obs['ops_overhead_pct']:.2f}% service-path overhead "

@@ -16,6 +16,7 @@ lane differs from the serial reference by even one bit.
 
 Run:  PYTHONPATH=src python examples/continuous_batching_service.py
       PYTHONPATH=src python examples/continuous_batching_service.py --jobs 12
+      PYTHONPATH=src python examples/continuous_batching_service.py --backend process
 """
 
 import argparse
@@ -70,6 +71,9 @@ def main(argv=None) -> int:
                     help="coalesce window in milliseconds (default 50)")
     ap.add_argument("--stagger-ms", type=float, default=1.0,
                     help="delay between submissions (default 1)")
+    ap.add_argument("--backend", choices=("thread", "process"),
+                    default="thread",
+                    help="SimServe worker backend (default thread)")
     args = ap.parse_args(argv)
 
     reference = serial_reference()
@@ -78,7 +82,7 @@ def main(argv=None) -> int:
 
     # one worker => the whole staggered wave must land in ONE vector job
     t0 = time.perf_counter()
-    with SimServe(workers=1, coalesce=cfg) as svc:
+    with SimServe(workers=1, backend=args.backend, coalesce=cfg) as svc:
         handles = []
         for _ in range(args.jobs):
             handles.append(svc.submit(request()))
@@ -96,7 +100,8 @@ def main(argv=None) -> int:
     )
 
     print(f"{args.jobs} staggered submissions ({args.stagger_ms:.1f} ms apart, "
-          f"{args.window_ms:.0f} ms window) in {wall*1e3:.0f} ms wall")
+          f"{args.window_ms:.0f} ms window, {args.backend} backend) in "
+          f"{wall*1e3:.0f} ms wall")
     print(f"  vector batches formed : {snap['coalesce']['batches']} "
           f"(widths {widths})")
     print(f"  jobs coalesced        : {snap['coalesce']['jobs']}/{args.jobs}")

@@ -20,9 +20,7 @@ Selection, in precedence order:
 
 1. an explicit ``backend=`` argument (``BatchSimulator(...,
    backend="numpy")`` or a ready :class:`ArrayBackend` instance),
-2. the process-wide default set via :func:`set_array_backend` (the
-   ``SimServe(array_backend=...)`` config lands here, including in
-   process-pool children),
+2. the process-wide default set via :func:`set_array_backend`,
 3. the ``REPRO_ARRAY_BACKEND`` environment variable,
 4. numpy.
 

@@ -834,16 +834,6 @@ class BatchSimulator:
     # ------------------------------------------------------------------
     # event dispatch
     # ------------------------------------------------------------------
-    def _dispatch(self) -> None:
-        """Strict per-lane FIFO dispatch (the pre-compaction semantics)."""
-        pending = self._pending
-        targets = self.cm.event_targets
-        while pending:
-            qname, event_port, lane = pending.popleft()
-            for target in targets.get((qname, event_port), ()):
-                self._execute_triggered(target, lane)
-                self._perlane_dispatches += 1
-
     def _flush_dispatch(self) -> None:
         """Drain the pending queue, grouping adjacent fires of the same
         event into one multi-lane dispatch.

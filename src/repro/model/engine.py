@@ -404,9 +404,6 @@ class Simulator:
         for port, v in enumerate(values):
             sigs[cm.sig_index[(qname, port)]] = float(v)
 
-    def _is_hit(self, qname: str) -> bool:
-        return self.cm.is_hit(qname, self.step_index)
-
     def _execute_triggered(self, qname: str) -> None:
         """Synchronously run a function-call target (ISR semantics)."""
         block = self.cm.nodes[qname]
@@ -466,21 +463,6 @@ class Simulator:
                 u[k] = sigs[i]
                 k += 1
             xdot[off : off + n] = block.derivatives(t, u, ctx)
-
-    # legacy shims kept for callers/tests poking at the interpreter
-    def _output_pass(self, t: float, minor: bool) -> None:
-        if minor:
-            self._out_minor(t)
-        else:
-            self._out_major(t, self.step_index)
-
-    def _update_pass(self, t: float) -> None:
-        self._update(t, self.step_index)
-
-    def _derivatives(self, t: float) -> np.ndarray:
-        xdot = np.zeros(self.cm.n_states)
-        self._deriv(t, xdot)
-        return xdot
 
     # ------------------------------------------------------------------
     # stepping

@@ -23,6 +23,8 @@ import json
 import os
 from typing import Iterable, Optional
 
+from .summary import _percentile
+
 __all__ = ["load_ops_input", "build_report", "render_html", "render_text"]
 
 #: canonical phase ordering for display (waterfall top-to-bottom)
@@ -49,20 +51,6 @@ def load_ops_input(path) -> dict:
         pass
     events = [json.loads(line) for line in text.splitlines() if line.strip()]
     return {"kind": "flight", "events": events, "path": path}
-
-
-def _percentile(sorted_vals: list, q: float) -> float:
-    """Linear-interpolated percentile on a pre-sorted list (numpy-free so
-    a dump is readable even where the sim stack is not installed)."""
-    if not sorted_vals:
-        return 0.0
-    if len(sorted_vals) == 1:
-        return float(sorted_vals[0])
-    pos = (len(sorted_vals) - 1) * q / 100.0
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_vals) - 1)
-    frac = pos - lo
-    return float(sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac)
 
 
 def _phase_rows_from_samples(samples: dict) -> list[dict]:

@@ -105,6 +105,8 @@ def summarize(events: Iterable[dict]) -> dict:
 
 
 def _percentile(sorted_vals: list, q: float) -> float:
+    """Linear-interpolated percentile on a pre-sorted list (numpy-free so
+    a dump is readable even where the sim stack is not installed)."""
     if not sorted_vals:
         return 0.0
     if len(sorted_vals) == 1:

@@ -37,7 +37,7 @@ from .metrics import ServiceMetrics
 from .model_cache import ModelCache
 from .results import JobRecord, ResultStore
 from .scheduler import Scheduler
-from .workers import WorkerPool
+from .workers import WorkerPool, record_finish
 
 _sweep_counter = itertools.count(1)
 
@@ -111,7 +111,6 @@ class SimServe:
         store_capacity: int = 256,
         autostart: bool = True,
         coalesce: Union[bool, CoalesceConfig, None] = None,
-        array_backend: Optional[str] = None,
         flight=None,
         waterfall: bool = True,
         ops_port: Optional[int] = None,
@@ -127,14 +126,6 @@ class SimServe:
             coalesce_cfg = None
         else:
             coalesce_cfg = coalesce
-        # array seam: validate up front (raises BackendUnavailable with an
-        # actionable message) and make it the process-wide default so
-        # thread workers — and, via the pool initializer, process-pool
-        # children — all simulate on the same array library
-        if array_backend is not None:
-            from repro.model.array_backend import set_array_backend
-
-            set_array_backend(array_backend)
         # black-box flight recorder: None/True = the process-global
         # recorder, False = disabled, or a private FlightRecorder instance
         if flight is False:
@@ -159,7 +150,6 @@ class SimServe:
             self.metrics,
             n_workers=workers,
             backend=backend,
-            array_backend=array_backend,
             flight=self.flight,
             waterfall=waterfall,
         )
@@ -291,27 +281,8 @@ class SimServe:
         """
         if isinstance(request, SweepRequest):
             raise TypeError("use submit_sweep() for SweepRequest")
-        if self._closed:
-            raise ServiceClosed("service is shut down")
         job = Job(request, priority=priority, deadline_s=deadline_s)
-        if self.scheduler.coalesce is not None:
-            job.coalesce_key = coalesce_key(request)
-        tracer = get_tracer()
-        if tracer.enabled:
-            job.trace_parent = tracer.current_span()
-            tracer.instant("service.submit", cat="service",
-                           args={"job": job.id, "kind": job.kind})
-        try:
-            self.scheduler.submit(job)
-        except Exception as exc:
-            self.metrics.on_reject()
-            if tracer.enabled:
-                tracer.instant("service.reject", cat="service", args={
-                    "job": job.id, "reason": type(exc).__name__,
-                })
-            raise
-        self.metrics.on_submit(job.kind)
-        return JobHandle(job, self.store)
+        return self._admit(job, {"job": job.id})
 
     def submit_sweep(
         self,
@@ -331,32 +302,11 @@ class SimServe:
         """
         sweep_id = f"sweep-{next(_sweep_counter):04d}"
         if request.execution == "batch":
-            if self._closed:
-                raise ServiceClosed("service is shut down")
             job = Job(request, priority=priority, deadline_s=deadline_s,
                       sweep_id=sweep_id)
-            if self.scheduler.coalesce is not None:
-                job.coalesce_key = coalesce_key(request)
-            tracer = get_tracer()
-            if tracer.enabled:
-                job.trace_parent = tracer.current_span()
-                tracer.instant("service.submit", cat="service", args={
-                    "job": job.id, "kind": job.kind,
-                    "lanes": len(request.scenarios),
-                })
-            try:
-                self.scheduler.submit(job)
-            except Exception as exc:
-                self.metrics.on_reject()
-                if tracer.enabled:
-                    tracer.instant("service.reject", cat="service", args={
-                        "sweep": sweep_id, "reason": type(exc).__name__,
-                    })
-                raise
-            self.metrics.on_submit("sweep_batch")
-            return BatchSweepHandle(
-                sweep_id, JobHandle(job, self.store), len(request.scenarios)
-            )
+            handle = self._admit(job, {"sweep": sweep_id},
+                                 lanes=len(request.scenarios))
+            return BatchSweepHandle(sweep_id, handle, len(request.scenarios))
         handles: list[JobHandle] = []
         tracer = get_tracer()
         trace_parent = tracer.current_span() if tracer.enabled else None
@@ -382,6 +332,35 @@ class SimServe:
             raise
         return SweepHandle(sweep_id, handles)
 
+    def _admit(self, job: Job, reject_args: dict, **submit_args) -> JobHandle:
+        """Queue one job: key it for coalescing, trace and count the
+        submission, and turn a refusal into a counted, traced reject.
+
+        ``submit_args`` extend the ``service.submit`` instant's args and
+        ``reject_args`` name the submission in ``service.reject``.
+        """
+        if self._closed:
+            raise ServiceClosed("service is shut down")
+        if self.scheduler.coalesce is not None:
+            job.coalesce_key = coalesce_key(job.request)
+        tracer = get_tracer()
+        if tracer.enabled:
+            job.trace_parent = tracer.current_span()
+            tracer.instant("service.submit", cat="service", args={
+                "job": job.id, "kind": job.kind, **submit_args,
+            })
+        try:
+            self.scheduler.submit(job)
+        except Exception as exc:
+            self.metrics.on_reject()
+            if tracer.enabled:
+                tracer.instant("service.reject", cat="service", args={
+                    **reject_args, "reason": type(exc).__name__,
+                })
+            raise
+        self.metrics.on_submit(job.kind)
+        return JobHandle(job, self.store)
+
     # ------------------------------------------------------------------
     # convenience
     # ------------------------------------------------------------------
@@ -406,20 +385,10 @@ class SimServe:
         job.mark_queue_phases()
         self.store.put(JobRecord.from_job(job))
         self.metrics.on_finish(job)
-        if self.flight.enabled:
-            self.flight.record("job.finish", cat="service", args={
+        record_finish(self.flight, job)
+        if job.state is JobState.EXPIRED:
+            self.flight.trigger("deadline_shed", args={
                 "job": job.id,
-                "kind": job.kind,
-                "state": job.state.value,
-                "priority": int(job.priority),
-                "cache_hit": job.cache_hit,
-                "error": job.error,
-                "total_s": job.total_s(),
-                "phases": dict(job.phase_s),
+                "deadline_s": job.deadline_s,
+                "waited_s": job.total_s(),
             })
-            if job.state is JobState.EXPIRED:
-                self.flight.trigger("deadline_shed", args={
-                    "job": job.id,
-                    "deadline_s": job.deadline_s,
-                    "waited_s": job.total_s(),
-                })

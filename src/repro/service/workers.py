@@ -7,6 +7,14 @@ whatever executor the engine binds (the native artifact once it is
 built, else the Python kernel path); PIL and campaign-cell jobs build
 their own rigs (those substrates are single-use by contract).
 
+Every job runs through one lifecycle, whether it is a single job or a
+member of a coalesced batch and on either backend: mark it started,
+run, map its outcome or exception to a state, then store its record,
+emit ``job.finish``, update the metrics and wake its waiters.  Only the
+run step differs: :func:`execute_request` for a single job,
+:func:`execute_coalesced` for a batch, on the worker thread or
+submitted to the process pool.
+
 Two backends:
 
 * ``"thread"`` (default) — jobs run on the worker threads themselves.
@@ -16,14 +24,16 @@ Two backends:
   of at most ``Simulator._NATIVE_CHUNK`` steps or before every Python
   step), and results never cross a pickle boundary, so any model —
   including unserialisable chart models — is accepted.
-* ``"process"`` — worker threads proxy jobs into a shared
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Requests must be
-  picklable (module-level builders, like
+* ``"process"`` — worker threads proxy single jobs and coalesced
+  batches into a shared :class:`~concurrent.futures.ProcessPoolExecutor`.
+  Requests must be picklable (module-level builders, like
   :meth:`repro.faults.FaultCampaign.run` requires); each worker process
   keeps its own model cache, so repeat submissions still skip
-  compilation per process.  A job that *crashes its process* breaks
-  neither the service nor its queue: the pool is rebuilt and the job is
-  marked failed.
+  compilation per process.  A run that *crashes its process* breaks
+  neither the service nor its queue: the pool is rebuilt and every job
+  of that run is marked failed.  The crash counts once
+  (``crash_count`` and the ``worker_crash`` flight trigger), however
+  many coalesced members it ended.
 
 Worker crash-isolation is per job in both backends: an exception inside
 a job marks that job ``FAILED`` and the worker moves on — the pool and
@@ -38,7 +48,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.obs.flight import get_flight_recorder
 from repro.obs.trace import get_tracer
@@ -85,21 +95,19 @@ def execute_request(
     raise TypeError(f"unknown request type {type(request).__name__}")
 
 
-def _run(sim) -> Any:
-    """``sim.run()``, with a cancelled run raised as :class:`JobCancelled`."""
-    from repro.model.engine import SimulationCancelled
+def _run_leased(
+    req: Any, cache: ModelCache, cancel: Optional[Callable[[], bool]],
+    phases: Optional[dict], make_sim: Callable,
+) -> Tuple[Any, Any, bool]:
+    """Lease ``req``'s compiled model and run ``make_sim(cm, options)``.
 
-    try:
-        return sim.run()
-    except SimulationCancelled as exc:
-        raise JobCancelled() from exc
-
-
-def _execute_mil(
-    req: MILRequest, cache: ModelCache, cancel_event: Optional[threading.Event],
-    phases: Optional[dict] = None,
-) -> Tuple[dict, Any, bool]:
-    from repro.model.engine import SimulationOptions, Simulator
+    Returns ``(sim, result, cache_hit)``.  The options carry ``req``'s
+    step, horizon, solver and logging, and ``cancel`` as their cancel
+    predicate; a cancelled run raises :class:`JobCancelled`.  When
+    ``phases`` is a dict it gets the ``cache`` (model resolve + lease)
+    and ``run`` marks.
+    """
+    from repro.model.engine import SimulationCancelled, SimulationOptions
 
     t_cache = time.perf_counter()
     model = req.resolve_model()
@@ -107,17 +115,33 @@ def _execute_mil(
         t_run = time.perf_counter()
         if phases is not None:
             phases["cache"] = t_run - t_cache
-        opts = SimulationOptions(
+        sim = make_sim(cm, SimulationOptions(
             dt=req.dt,
             t_final=req.t_final,
             solver=req.solver,
             use_kernels=req.use_kernels,
             log_all_signals=req.log_all_signals,
-            cancel=cancel_event.is_set if cancel_event is not None else None,
-        )
-        result = _run(Simulator(cm, opts))
+            cancel=cancel,
+        ))
+        try:
+            result = sim.run()
+        except SimulationCancelled as exc:
+            raise JobCancelled() from exc
         if phases is not None:
             phases["run"] = time.perf_counter() - t_run
+    return sim, result, hit
+
+
+def _execute_mil(
+    req: MILRequest, cache: ModelCache, cancel_event: Optional[threading.Event],
+    phases: Optional[dict] = None,
+) -> Tuple[dict, Any, bool]:
+    from repro.model.engine import Simulator
+
+    _, result, hit = _run_leased(
+        req, cache, cancel_event.is_set if cancel_event is not None else None,
+        phases, Simulator,
+    )
     summary = {
         "n_steps": int(result.t.shape[0]),
         "t_final": req.t_final,
@@ -135,26 +159,11 @@ def _execute_batch_sweep(
     """One batched sweep: every point rides the same compiled model as a
     batch lane, so the service pays compilation and stepping once."""
     from repro.model.batch import BatchSimulator
-    from repro.model.engine import SimulationOptions
 
-    t_cache = time.perf_counter()
-    model = req.resolve_model()
-    with cache.lease(model, req.dt) as (cm, hit):
-        t_run = time.perf_counter()
-        if phases is not None:
-            phases["cache"] = t_run - t_cache
-        opts = SimulationOptions(
-            dt=req.dt,
-            t_final=req.t_final,
-            solver=req.solver,
-            use_kernels=req.use_kernels,
-            log_all_signals=req.log_all_signals,
-            cancel=cancel_event.is_set if cancel_event is not None else None,
-        )
-        sim = BatchSimulator(cm, req.scenarios, opts)
-        result = _run(sim)
-        if phases is not None:
-            phases["run"] = time.perf_counter() - t_run
+    sim, result, hit = _run_leased(
+        req, cache, cancel_event.is_set if cancel_event is not None else None,
+        phases, lambda cm, opts: BatchSimulator(cm, req.scenarios, opts),
+    )
     summary = {
         "n_steps": int(result.t.shape[0]),
         "t_final": req.t_final,
@@ -182,18 +191,16 @@ def execute_coalesced(
     request order, where each member's result is shaped exactly like its
     serial counterpart (a :class:`~repro.model.SimulationResult` for MIL,
     a per-member :class:`~repro.model.BatchSimulationResult` slice for a
-    sweep) and is bit-identical to a direct run.
+    sweep) and is bit-identical to a direct run.  When ``phases_out`` is
+    a list, one phase dict per request is appended to it.
 
-    The run aborts only when **every** member is cancelled; individual
-    cancellations are honored at demux (that member's lanes are computed
-    but dropped — lanes cannot leave a vector run mid-flight).
+    The run aborts only when **every** member is cancelled; the worker
+    honors individual cancellations at demux (that member's lanes are
+    computed but dropped — lanes cannot leave a vector run mid-flight).
     """
     from repro.model.batch import BatchScenario, BatchSimulator
-    from repro.model.engine import SimulationOptions
     from repro.model.result import BatchSimulationResult
 
-    base = requests[0]
-    model = base.resolve_model()
     # lane layout: requests expand left-to-right into batch columns, and
     # sweep scenarios keep their member-local default labels so demuxed
     # slices match what a direct run would have produced
@@ -216,22 +223,13 @@ def execute_coalesced(
     if cancel_events:
         def cancel(_evs=tuple(cancel_events)) -> bool:
             return all(ev.is_set() for ev in _evs)
-    timing = phases_out is not None
-    t_cache = time.perf_counter()
-    with cache.lease(model, base.dt) as (cm, hit):
-        t_run = time.perf_counter()
-        cache_s = t_run - t_cache
-        opts = SimulationOptions(
-            dt=base.dt,
-            t_final=base.t_final,
-            solver=base.solver,
-            use_kernels=base.use_kernels,
-            log_all_signals=base.log_all_signals,
-            cancel=cancel,
-        )
-        sim = BatchSimulator(cm, scenarios, opts)
-        batched = _run(sim)
-        run_s = time.perf_counter() - t_run
+    # cache + run are shared by the whole vector run; demux is the
+    # per-member slice-out cost
+    shared: Optional[dict] = {} if phases_out is not None else None
+    sim, batched, hit = _run_leased(
+        requests[0], cache, cancel, shared,
+        lambda cm, opts: BatchSimulator(cm, scenarios, opts),
+    )
     outs = []
     n_steps = int(batched.t.shape[0])
     for req, (start, count) in zip(requests, lane_specs):
@@ -269,14 +267,8 @@ def execute_coalesced(
                 "coalesced": coalesced,
             }
             outs.append((summary, sub, hit))
-        if timing:
-            # cache + run are shared by the whole vector run; demux is the
-            # per-member slice-out cost
-            phases_out.append({
-                "cache": cache_s,
-                "run": run_s,
-                "demux": time.perf_counter() - t_demux,
-            })
+        if phases_out is not None:
+            phases_out.append({**shared, "demux": time.perf_counter() - t_demux})
     return outs
 
 
@@ -306,29 +298,37 @@ def _execute_cell(
     return outcome.key_metrics(), outcome, False
 
 
+def record_finish(flight, job: Job) -> None:
+    """The ``job.finish`` flight event of a terminal job: one per job,
+    whether a worker ran it or the queue finished it (shed, cancelled
+    while pending)."""
+    if flight.enabled:
+        flight.record("job.finish", cat="service", args={
+            "job": job.id,
+            "kind": job.kind,
+            "state": job.state.value,
+            "priority": int(job.priority),
+            "cache_hit": job.cache_hit,
+            "error": job.error,
+            "total_s": job.total_s(),
+            "phases": dict(job.phase_s),
+        })
+
+
 #: per-worker-process cache for the process backend (each child builds its
 #: own on first use — compiled models cannot cross the pickle boundary)
 _PROCESS_CACHE: Optional[ModelCache] = None
 
 
-def _process_entry(request: Any, timing: bool = True) -> Tuple[dict, Any, bool, dict]:
-    """Child-side job entry: also returns the worker-side phase marks so
-    the parent can merge them into the job's waterfall."""
+def _process_entry(execute: Callable, payload: Any, phases: Any) -> tuple:
+    """Child-side entry for either run step (:func:`execute_request` or
+    :func:`execute_coalesced`) on this process's model cache.  Returns
+    ``(output, phases)``: the worker-side phase marks travel back so the
+    parent can merge them into the jobs' waterfalls."""
     global _PROCESS_CACHE
     if _PROCESS_CACHE is None:
         _PROCESS_CACHE = ModelCache()
-    phases: Optional[dict] = {} if timing else None
-    summary, result, hit = execute_request(request, _PROCESS_CACHE, None, phases)
-    return summary, result, hit, phases or {}
-
-
-def _process_coalesced_entry(requests: list, timing: bool = True) -> tuple:
-    global _PROCESS_CACHE
-    if _PROCESS_CACHE is None:
-        _PROCESS_CACHE = ModelCache()
-    phases_out: Optional[list] = [] if timing else None
-    outs = execute_coalesced(requests, _PROCESS_CACHE, None, phases_out)
-    return outs, phases_out or []
+    return execute(payload, _PROCESS_CACHE, None, phases), phases
 
 
 #: native-path environment propagated to process-pool children so warm
@@ -344,18 +344,11 @@ def _native_env_snapshot() -> dict:
     return {k: os.environ[k] for k in _NATIVE_ENV_KEYS if k in os.environ}
 
 
-def _process_init(
-    array_backend: Optional[str] = None,
-    native_env: Optional[dict] = None,
-) -> None:
-    """Child-process initializer: propagate the array-backend choice and
-    the parent's native-path environment (children then dlopen cached
-    artifacts instead of recompiling)."""
-    if array_backend:
-        from repro.model.array_backend import set_array_backend
-
-        set_array_backend(array_backend)
-    for key, value in (native_env or {}).items():
+def _process_init(native_env: dict) -> None:
+    """Child-process initializer: propagate the parent's native-path
+    environment (children then dlopen cached artifacts instead of
+    recompiling)."""
+    for key, value in native_env.items():
         os.environ.setdefault(key, value)
 
 
@@ -373,7 +366,6 @@ class WorkerPool:
         metrics,
         n_workers: int = 2,
         backend: str = "thread",
-        array_backend: Optional[str] = None,
         flight=None,
         waterfall: bool = True,
     ):
@@ -387,9 +379,6 @@ class WorkerPool:
         self.metrics = metrics
         self.n_workers = n_workers
         self.backend = backend
-        #: array-backend name shipped to process-pool children (thread
-        #: workers read the process-wide default directly)
-        self.array_backend = array_backend
         #: black-box flight recorder (pass NULL_RECORDER to disable)
         self.flight = flight if flight is not None else get_flight_recorder()
         #: collect per-phase latency marks on every job
@@ -433,7 +422,7 @@ class WorkerPool:
         return ProcessPoolExecutor(
             max_workers=self.n_workers,
             initializer=_process_init,
-            initargs=(self.array_backend, _native_env_snapshot()),
+            initargs=(_native_env_snapshot(),),
         )
 
     def health(self) -> dict:
@@ -466,9 +455,20 @@ class WorkerPool:
                 self._execute_job(item)
 
     def _execute_job(self, job: Job) -> None:
+        """One job: :func:`execute_request` through the lifecycle."""
+        def run() -> list:
+            out, phases = self._run_step(
+                execute_request, job.request, job.cancel_event,
+                job.phase_s if self.waterfall else None, [job],
+            )
+            if phases is not None:
+                job.phase_s.update(phases)  # the process pool returns a copy
+            return [out]
+
+        ident = {"job": job.id}
         tracer = get_tracer()
         if not tracer.enabled:
-            self._execute_job_inner(job)
+            self._lifecycle([job], run, ident)
             return
         # the job span attaches to the submitter's open span, so service
         # traffic and the work it triggers share one trace tree
@@ -476,7 +476,7 @@ class WorkerPool:
             with tracer.span("service.job", cat="service", args={
                 "job": job.id, "kind": job.kind, "priority": job.priority.name,
             }) as span:
-                self._execute_job_inner(job)
+                self._lifecycle([job], run, ident)
                 span.args["state"] = job.state.name
                 span.args["cache_hit"] = job.cache_hit
                 queued = job.queued_s()
@@ -487,108 +487,9 @@ class WorkerPool:
                         "job": job.id, "hit": job.cache_hit,
                     })
 
-    def _execute_job_inner(self, job: Job) -> None:
-        job.started_at = time.monotonic()
-        job.state = JobState.RUNNING
-        self.metrics.on_start()
-        if self.waterfall:
-            job.mark_queue_phases()
-        summary: dict = {}
-        result: Any = None
-        crashed = False
-        try:
-            if job.cancel_event.is_set():
-                raise JobCancelled(job.id)
-            phases = job.phase_s if self.waterfall else None
-            if self.backend == "process":
-                summary, result, hit = self._run_in_process(job)
-            else:
-                summary, result, hit = execute_request(
-                    job.request, self.cache, job.cancel_event, phases
-                )
-            job.cache_hit = hit
-            job.state = JobState.DONE
-        except JobCancelled:
-            job.state = JobState.CANCELLED
-        except BrokenProcessPool as exc:
-            crashed = True
-            job.state = JobState.FAILED
-            job.error = f"{type(exc).__name__}: {exc}"
-        except Exception as exc:  # a bad job must not take the worker down
-            job.state = JobState.FAILED
-            job.error = f"{type(exc).__name__}: {exc}"
-        job.finished_at = time.monotonic()
-        retain = getattr(job.request, "retain_trace", False)
-        rec = JobRecord.from_job(
-            job, summary, result if (retain and job.state is JobState.DONE) else None
-        )
-        t_store = time.perf_counter()
-        self.store.put(rec)
-        if self.waterfall:
-            # stamped after the fact: the record shares the duration even
-            # though its phase dict was copied before the put
-            store_s = time.perf_counter() - t_store
-            job.phase_s["store"] = store_s
-            rec.phase_s["store"] = store_s
-        self._record_finish(job, crashed=crashed)
-        self.metrics.on_finish(job)
-        job.done_event.set()
-
-    def _record_finish(self, job: Job, crashed: bool = False) -> None:
-        """Black-box bookkeeping for one terminal job: always record the
-        ``job.finish`` event; crash/exception states also fire a flight
-        trigger (which auto-dumps when a dump dir is configured)."""
-        flight = self.flight
-        if not flight.enabled:
-            return
-        flight.record("job.finish", cat="service", args={
-            "job": job.id,
-            "kind": job.kind,
-            "state": job.state.value,
-            "priority": int(job.priority),
-            "cache_hit": job.cache_hit,
-            "error": job.error,
-            "total_s": job.total_s(),
-            "phases": dict(job.phase_s),
-        })
-        if crashed:
-            flight.trigger("worker_crash", args={"job": job.id, "error": job.error})
-        elif job.state is JobState.FAILED:
-            flight.trigger("job_exception", args={"job": job.id, "error": job.error})
-
-    def _run_in_process(self, job: Job) -> Tuple[dict, Any, bool]:
-        with self._proc_lock:
-            pool = self._proc_pool
-        future = pool.submit(_process_entry, job.request, self.waterfall)
-        while True:
-            try:
-                summary, result, hit, child_phases = future.result(timeout=0.1)
-                if self.waterfall and child_phases:
-                    job.phase_s.update(child_phases)
-                return summary, result, hit
-            except FutureTimeout:
-                # a queued (not yet started) job can still be cancelled;
-                # a running child process cannot be interrupted mid-run
-                if job.cancel_event.is_set() and future.cancel():
-                    raise JobCancelled(job.id)
-            except BrokenProcessPool:
-                # hard child crash: rebuild the pool so later jobs survive
-                self.crash_count += 1
-                self.flight.record("worker.crash", cat="service",
-                                   args={"job": job.id, "backend": "process"})
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.instant("service.worker_crash", cat="service",
-                                   args={"job": job.id})
-                with self._proc_lock:
-                    if self._proc_pool is pool:
-                        self._proc_pool = self._make_pool()
-                raise
-
-    # ------------------------------------------------------------------
-    # continuous batching: one vector run executing N member jobs
-    # ------------------------------------------------------------------
     def _execute_coalesced(self, batch: CoalescedBatch) -> None:
+        """A coalesced batch: one :func:`execute_coalesced` vector run for
+        every member, through the lifecycle."""
         cfg = self.scheduler.coalesce
         members = batch.members
         if cfg is not None and len(members) < cfg.max_batch:
@@ -598,107 +499,126 @@ class WorkerPool:
             members.extend(self.scheduler.claim_compatible(
                 members[0], cfg.max_batch - len(members) + 1
             ))
+        self.metrics.on_coalesce(len(members))
+
+        def run() -> list:
+            outs, phases = self._run_step(
+                execute_coalesced, [j.request for j in members],
+                [j.cancel_event for j in members],
+                [] if self.waterfall else None, members,
+            )
+            for job, ph in zip(members, phases or ()):
+                job.phase_s.update(ph)
+            # lanes cannot leave a vector run mid-flight: a member
+            # cancelled during it is dropped here, at demux
+            return [JobCancelled() if job.cancel_event.is_set() else out
+                    for job, out in zip(members, outs)]
+
+        ident = {"jobs": [j.id for j in members]}
         tracer = get_tracer()
         if not tracer.enabled:
-            self._execute_coalesced_inner(members)
+            self._lifecycle(members, run, ident)
             return
         with tracer.attach(members[0].trace_parent):
             with tracer.span("service.job.coalesced", cat="service", args={
-                "jobs": [j.id for j in members], "width": len(members),
+                **ident, "width": len(members),
             }) as span:
-                self._execute_coalesced_inner(members)
+                self._lifecycle(members, run, ident)
                 span.args["states"] = [j.state.name for j in members]
 
-    def _execute_coalesced_inner(self, members: list) -> None:
+    def _run_step(
+        self, execute: Callable, payload: Any, cancel: Any, phases: Any,
+        jobs: list,
+    ) -> tuple:
+        """``execute(payload, cache, cancel, phases)`` on this worker
+        thread, or submitted to the process pool (the child's own model
+        cache, no cancel hook).  Returns ``(output, phases)``."""
+        if self.backend == "thread":
+            return execute(payload, self.cache, cancel, phases), phases
+        with self._proc_lock:
+            pool = self._proc_pool
+        future = pool.submit(_process_entry, execute, payload, phases)
+        while True:
+            try:
+                return future.result(timeout=0.1)
+            except FutureTimeout:
+                # a queued (not yet started) run can still be cancelled;
+                # a running child process cannot be interrupted mid-run
+                if all(j.cancel_event.is_set() for j in jobs) and future.cancel():
+                    raise JobCancelled()
+            except BrokenProcessPool:
+                # hard child crash: rebuild the pool so later jobs survive
+                with self._proc_lock:
+                    if self._proc_pool is pool:
+                        self._proc_pool = self._make_pool()
+                raise
+
+    def _lifecycle(self, jobs: list, run: Callable[[], list], ident: dict) -> None:
+        """Start ``jobs``, run them as one step, and finish each of them.
+
+        ``run()`` is skipped when every job is already cancelled.  It
+        returns one outcome per job, ``(summary, result, cache_hit)`` or
+        the exception that ended that job; an exception it raises ends
+        every job.  A process crash is counted once, however many jobs
+        it ended; ``ident`` names the jobs in its records.
+        """
         now = time.monotonic()
-        for job in members:
+        for job in jobs:
             job.started_at = now
             job.state = JobState.RUNNING
             self.metrics.on_start()
             if self.waterfall:
                 job.mark_queue_phases()
-        self.metrics.on_coalesce(len(members))
+        crashed = False
         try:
-            if all(j.cancel_event.is_set() for j in members):
+            if all(job.cancel_event.is_set() for job in jobs):
                 raise JobCancelled()
-            requests = [j.request for j in members]
-            if self.backend == "process":
-                outs = self._run_coalesced_in_process(members, requests)
-            else:
-                phases_out: Optional[list] = [] if self.waterfall else None
-                outs = execute_coalesced(
-                    requests, self.cache, [j.cancel_event for j in members],
-                    phases_out,
-                )
-                if self.waterfall:
-                    for job, ph in zip(members, phases_out):
-                        job.phase_s.update(ph)
-        except JobCancelled:
-            for job in members:
-                job.state = JobState.CANCELLED
-                self._finish_member(job, {}, None)
-            return
-        except Exception as exc:  # one bad batch must not take workers down
-            err = f"{type(exc).__name__}: {exc}"
-            crashed = isinstance(exc, BrokenProcessPool)
-            for job in members:
-                job.state = JobState.FAILED
-                job.error = err
-                self._finish_member(job, {}, None, crashed=crashed)
-            return
-        for job, (summary, result, hit) in zip(members, outs):
-            if job.cancel_event.is_set():
-                job.state = JobState.CANCELLED
-                self._finish_member(job, {}, None)
-                continue
-            job.cache_hit = hit
-            job.state = JobState.DONE
-            self._finish_member(job, summary, result)
+            outcomes = run()
+        except BrokenProcessPool as exc:
+            crashed = True
+            self.crash_count += 1
+            self.flight.record("worker.crash", cat="service",
+                               args={**ident, "backend": "process"})
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.instant("service.worker_crash", cat="service", args=ident)
+            outcomes = [exc] * len(jobs)
+        except Exception as exc:  # a bad job must not take the worker down
+            outcomes = [exc] * len(jobs)
+        for job, outcome in zip(jobs, outcomes):
+            self._finish(job, outcome)
+        if crashed:
+            # after the jobs' job.finish events, so its dump counts them failed
+            self.flight.trigger("worker_crash", args={**ident, "error": jobs[0].error})
+        for job in jobs:
+            job.done_event.set()
 
-    def _finish_member(
-        self, job: Job, summary: dict, result: Any, crashed: bool = False
-    ) -> None:
+    def _finish(self, job: Job, outcome: Any) -> None:
+        """Map one job's outcome to its terminal state, then store its
+        record, emit ``job.finish`` and count it."""
+        summary: dict = {}
+        result: Any = None
+        if isinstance(outcome, JobCancelled):
+            job.state = JobState.CANCELLED
+        elif isinstance(outcome, Exception):
+            job.state = JobState.FAILED
+            job.error = f"{type(outcome).__name__}: {outcome}"
+        else:
+            summary, result, job.cache_hit = outcome
+            job.state = JobState.DONE
         job.finished_at = time.monotonic()
         retain = getattr(job.request, "retain_trace", False)
-        rec = JobRecord.from_job(
-            job, summary,
-            result if (retain and job.state is JobState.DONE) else None,
-        )
+        rec = JobRecord.from_job(job, summary, result if retain else None)
         t_store = time.perf_counter()
         self.store.put(rec)
         if self.waterfall:
+            # stamped after the fact: the record shares the duration even
+            # though its phase dict was copied before the put
             store_s = time.perf_counter() - t_store
             job.phase_s["store"] = store_s
             rec.phase_s["store"] = store_s
-        self._record_finish(job, crashed=crashed)
+        record_finish(self.flight, job)
+        # a crash fires worker_crash once, from the lifecycle
+        if job.state is JobState.FAILED and not isinstance(outcome, BrokenProcessPool):
+            self.flight.trigger("job_exception", args={"job": job.id, "error": job.error})
         self.metrics.on_finish(job)
-        job.done_event.set()
-
-    def _run_coalesced_in_process(self, members: list, requests: list) -> list:
-        with self._proc_lock:
-            pool = self._proc_pool
-        future = pool.submit(_process_coalesced_entry, requests, self.waterfall)
-        while True:
-            try:
-                outs, phase_dicts = future.result(timeout=0.1)
-                if self.waterfall:
-                    for job, ph in zip(members, phase_dicts):
-                        job.phase_s.update(ph)
-                return outs
-            except FutureTimeout:
-                if (all(j.cancel_event.is_set() for j in members)
-                        and future.cancel()):
-                    raise JobCancelled()
-            except BrokenProcessPool:
-                self.crash_count += 1
-                self.flight.record("worker.crash", cat="service", args={
-                    "jobs": [j.id for j in members], "backend": "process",
-                })
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.instant("service.worker_crash", cat="service",
-                                   args={"jobs": [j.id for j in members]})
-                with self._proc_lock:
-                    if self._proc_pool is pool:
-                        self._proc_pool = self._make_pool()
-                raise

@@ -12,7 +12,7 @@ from repro.obs import Tracer, configure, get_tracer, load_trace, use_tracer
 def _capture_child(parent_id, capacity):
     """Module-level worker: run a span tree under a fresh capture tracer
     attached to the submitter's span, return the events (the pattern
-    ``FaultCampaign._run_cell_task_traced`` uses)."""
+    ``repro.faults.campaign._run_chunk_task_traced`` uses)."""
     from repro.obs import Tracer, use_tracer
 
     local = Tracer(capacity=capacity, enabled=True)

@@ -82,6 +82,18 @@ def hard_crash_builder(**_kwargs) -> Model:
     os._exit(13)
 
 
+def crash_in_child_builder(submitter_pid: int, **kwargs) -> Model:
+    """:func:`build_loop_model` in the submitting process, so
+    ``coalesce_key`` can resolve the model at submit; in any other
+    process (a process-pool child running the job) it kills that process
+    outright, like :func:`hard_crash_builder`."""
+    import os
+
+    if os.getpid() != submitter_pid:
+        os._exit(13)
+    return build_loop_model(**kwargs)
+
+
 def make_fake_pil(reliable: bool, n: int = 12, crash: bool = False):
     """A stub PIL rig: instant 'run', real-shaped result object."""
     return _FakePil(reliable, n=n, crash=crash)

@@ -14,12 +14,16 @@ Edge cases pinned here, per the scheduler's formation invariants:
   finished one.
 """
 
+import os
 import time
 
 import numpy as np
 import pytest
 
 from repro.model import SimulationOptions, Simulator
+from repro.model.engine import simulate
+from repro.obs.flight import FlightRecorder
+from repro.obs.report import build_report, load_ops_input
 from repro.service import (
     CoalesceConfig,
     CoalescedBatch,
@@ -37,6 +41,7 @@ from repro.service import (
 from tests.service.helpers import (
     Gate,
     build_loop_model,
+    crash_in_child_builder,
     crashing_builder,
     make_fake_pil,
 )
@@ -396,6 +401,67 @@ class TestServiceCoalescing:
             assert svc.scheduler.coalesce == CoalesceConfig(max_batch=4)
         finally:
             svc.shutdown()
+
+
+class TestProcessBackend:
+    """A coalesced batch runs in the process pool through the same job
+    lifecycle as a single job.  Jobs are queued before the pool starts,
+    so the worker's first pop claims them all into one batch."""
+
+    @staticmethod
+    def queued_service(**kwargs) -> SimServe:
+        return SimServe(workers=1, backend="process", autostart=False, **kwargs)
+
+    def test_batch_runs_in_the_pool_bit_identical(self):
+        reference = simulate(build_loop_model(), T_FINAL, dt=DT)
+        svc = self.queued_service(coalesce=CoalesceConfig(max_batch=3,
+                                                          window_s=0.3))
+        try:
+            handles = [svc.submit(MILRequest(builder=build_loop_model, dt=DT,
+                                             t_final=T_FINAL))
+                       for _ in range(3)]
+            svc.start()
+            records = [h.record(timeout=120.0) for h in handles]
+        finally:
+            svc.shutdown()
+        assert svc.metrics_snapshot()["coalesce"]["batches"] == 1
+        for rec in records:
+            assert rec.state is JobState.DONE
+            assert rec.summary["coalesced"]["width"] == 3
+            # the child's phase marks crossed the pickle boundary
+            for key in ("cache", "run", "demux"):
+                assert key in rec.phase_s
+            assert rec.result.names == reference.names
+            for name in reference.names:
+                assert np.array_equal(rec.result[name], reference[name])
+
+    def test_crash_fails_every_member_and_counts_once(self, tmp_path):
+        flight = FlightRecorder(dump_dir=str(tmp_path))
+        doomed = lambda: MILRequest(
+            builder=crash_in_child_builder,
+            builder_kwargs={"submitter_pid": os.getpid()},
+            dt=DT, t_final=T_FINAL,
+        )
+        svc = self.queued_service(coalesce=CoalesceConfig(max_batch=4,
+                                                          window_s=0.3),
+                                  flight=flight)
+        try:
+            handles = [svc.submit(doomed()) for _ in range(3)]
+            svc.start()
+            assert svc.wait_all(handles, timeout=120.0)
+            assert [h.state for h in handles] == [JobState.FAILED] * 3
+            # the pool was rebuilt: the service still serves
+            later = svc.submit(MILRequest(builder=build_loop_model, dt=DT,
+                                          t_final=T_FINAL))
+            assert later.record(timeout=120.0).state is JobState.DONE
+        finally:
+            svc.shutdown()
+        assert svc.metrics_snapshot()["coalesce"]["batches"] == 1
+        # one crash: one rebuild, one trigger
+        assert svc.pool.crash_count == flight.trigger_counts["worker_crash"] == 1
+        # the dump was written after every member's job.finish
+        report = build_report(load_ops_input(flight.dumps[0]))
+        assert report["jobs"]["failed"] == 3
 
 
 # ---------------------------------------------------------------------------
