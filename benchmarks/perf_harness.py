@@ -499,7 +499,6 @@ def bench_lane_compaction(n_lanes: int = 16, t_final: float = 0.4) -> dict:
         "fused_lane_dispatches": stats["fused_lane_dispatches"],
         "perlane_dispatches_off": sim_off.compaction_stats["perlane_dispatches"],
         "identical_with_compaction_off": identical,
-        "array_backend": sim_on.plan_stats["array_backend"],
     }
 
 
@@ -1177,7 +1176,7 @@ def main(argv=None) -> int:
         print(
             f"compaction: {comp['recovered_lane_steps']} recovered lane-steps "
             f"({comp['compaction_speedup']:.2f}x vs per-lane fallback on "
-            f"{comp['lanes']} lanes, backend={comp['array_backend']})"
+            f"{comp['lanes']} lanes)"
         )
     if "obs" in fresh:
         obs = fresh["obs"]

@@ -22,10 +22,9 @@ executors.
 
 The second, the **numpy engine**, takes the whole ensemble when native
 lanes cannot bind (wired function-call subsystems, no toolchain,
-``native=False``/``REPRO_NATIVE=off``, a non-numpy array backend, a
-form that fails to lower, ``"auto"`` while the artifact is still
-building); the reason is counted once in
-``kernel_fallback_total{reason}`` and kept in
+``native=False``/``REPRO_NATIVE=off``, a form that fails to lower,
+``"auto"`` while the artifact is still building); the reason is
+counted once in ``kernel_fallback_total{reason}`` and kept in
 :attr:`BatchSimulator.native_fallback_reason`.  It carries a trailing
 batch axis through every pass (the batch-dimension trick of
 TrueTime-style co-simulation studies and modern inference servers):
@@ -74,7 +73,6 @@ from typing import Any, Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from ..obs.trace import get_tracer
-from .array_backend import ArrayBackend, get_array_backend
 from .block import Block, BlockContext
 from .compiled import CompiledModel
 from .engine import (
@@ -273,9 +271,7 @@ class BatchSimulator:
         model: Union[Model, CompiledModel],
         scenarios: Sequence[Union[BatchScenario, Mapping[str, Mapping[str, Any]]]],
         options: SimulationOptions,
-        backend: Union[str, ArrayBackend, None] = None,
         compaction: bool = True,
-        compact_min_lanes: int = 1,
     ):
         self.options = options
         self.cm = model if isinstance(model, CompiledModel) else model.compile(options.dt)
@@ -293,9 +289,8 @@ class BatchSimulator:
             for b, s in enumerate(self.scenarios)
         ]
         cm = self.cm
-        xp = self.xp = get_array_backend(backend)
-        self.S = xp.zeros((cm.n_signals, self.n_lanes))
-        self.X = xp.zeros((cm.n_states, self.n_lanes))
+        self.S = np.zeros((cm.n_signals, self.n_lanes))
+        self.X = np.zeros((cm.n_states, self.n_lanes))
         self.step_index = 0
         self.time = 0.0
         self._pending: deque[tuple[str, int, int]] = deque()
@@ -304,7 +299,6 @@ class BatchSimulator:
         self._diverged_events = 0
         # lane compaction (fused trigger dispatch)
         self._compaction = bool(compaction)
-        self._compact_min = max(1, int(compact_min_lanes))
         self._trig_fused: dict[str, FusedTriggerKernel] = {}
         self._fused_dispatches = 0
         self._fused_lane_dispatches = 0
@@ -315,8 +309,8 @@ class BatchSimulator:
         self._compacted_counted = 0
         # solver work buffers (vector RK4 over the whole state matrix)
         shape = (cm.n_states, self.n_lanes)
-        self._X0 = xp.zeros(shape)
-        self._K = [xp.zeros(shape) for _ in range(4)]
+        self._X0 = np.zeros(shape)
+        self._K = [np.zeros(shape) for _ in range(4)]
         # schedules (populated by initialize)
         self._out_pass: list[tuple[int, Callable[[float], None]]] = []
         self._minor_pass: list[Callable[[float], None]] = []
@@ -348,9 +342,8 @@ class BatchSimulator:
 
     @property
     def substrate(self) -> str:
-        """``"native"`` on native lanes, else the numpy engine's array
-        backend name."""
-        return "native" if self._lanes is not None else self.xp.name
+        """``"native"`` on native lanes, else ``"numpy"``."""
+        return "native" if self._lanes is not None else "numpy"
 
     @property
     def lanes_diverged(self) -> int:
@@ -480,9 +473,6 @@ class BatchSimulator:
         mode = base._native_mode()
         if mode is False:
             return self._stay_on_engine(base, "disabled")
-        if self.xp.name != "numpy":
-            return self._stay_on_engine(
-                base, "disabled", f"array backend '{self.xp.name}'")
         base._start()
         artifact = base._native_artifact(mode, base._plan_kernels(), lanes=B)
         if artifact is None:
@@ -622,7 +612,7 @@ class BatchSimulator:
                 out_entries.append(
                     _AffineEntry(
                         run_divisor,
-                        BatchAffineKernel(run_rows, B, xp=self.xp),
+                        BatchAffineKernel(run_rows, B),
                         run_qnames,
                     )
                 )
@@ -640,7 +630,7 @@ class BatchSimulator:
                     clone = self._clone_for_lane(block, qname, b)
                     ctx = BlockContext()
                     if n_states:
-                        X[off : off + n_states, b] = self.xp.asarray(
+                        X[off : off + n_states, b] = np.asarray(
                             clone.initial_continuous_states(), dtype=np.float64
                         )
                     ctx.x = X[off : off + n_states, b]
@@ -655,11 +645,7 @@ class BatchSimulator:
                 self._trig_u[qname] = [0.0] * len(cm.input_map[qname])
                 if self._compaction and qname not in overridden:
                     kern = plan_fused_trigger(
-                        block,
-                        cm.input_map[qname],
-                        self._trig_out[qname],
-                        B,
-                        xp=self.xp,
+                        block, cm.input_map[qname], self._trig_out[qname], B
                     )
                     if kern is not None:
                         self._trig_fused[qname] = kern
@@ -731,7 +717,7 @@ class BatchSimulator:
             if qname not in overridden and self._batch_capable(block, n_states):
                 ctx = BlockContext()
                 if n_states:
-                    X[off : off + n_states, :] = self.xp.asarray(
+                    X[off : off + n_states, :] = np.asarray(
                         block.initial_continuous_states(), dtype=np.float64
                     ).reshape(n_states, 1)
                 ctx.x = X[off : off + n_states, :]
@@ -748,7 +734,7 @@ class BatchSimulator:
                     clone = self._clone_for_lane(block, qname, b)
                     ctx = BlockContext()
                     if n_states:
-                        X[off : off + n_states, b] = self.xp.asarray(
+                        X[off : off + n_states, b] = np.asarray(
                             clone.initial_continuous_states(), dtype=np.float64
                         )
                     ctx.x = X[off : off + n_states, b]
@@ -783,7 +769,7 @@ class BatchSimulator:
             nonlocal acc_rows
             if acc_rows:
                 self._minor_pass.append(
-                    BatchAffineKernel(acc_rows, B, xp=self.xp).make_apply(S)
+                    BatchAffineKernel(acc_rows, B).make_apply(S)
                 )
                 acc_rows = []
 
@@ -807,7 +793,7 @@ class BatchSimulator:
         scheduled = n_affine_rows + n_batch + n_lane
         self.plan_stats = {
             "lanes": B,
-            "substrate": self.xp.name,
+            "substrate": "numpy",
             "affine_rows": n_affine_rows,
             "affine_kernels": sum(
                 1 for e in out_entries if isinstance(e, _AffineEntry)
@@ -818,7 +804,6 @@ class BatchSimulator:
             "fused_triggers": len(self._trig_fused),
             "minor_entries": len(self._minor_pass),
             "overridden_blocks": len(overridden),
-            "array_backend": self.xp.name,
             "vectorized_fraction": (
                 (n_affine_rows + n_batch) / scheduled if scheduled else 1.0
             ),
@@ -829,7 +814,7 @@ class BatchSimulator:
         first = float(values[0])
         if all(float(v) == first for v in values):
             return first
-        return self.xp.array([float(v) for v in values])
+        return np.array([float(v) for v in values])
 
     # ------------------------------------------------------------------
     # event dispatch
@@ -866,7 +851,7 @@ class BatchSimulator:
             K = len(lanes)
             for target in targets.get((qname, event_port), ()):
                 kern = trig_fused.get(target)
-                if kern is None or K < self._compact_min:
+                if kern is None:
                     for b in lanes:
                         self._execute_triggered(target, b)
                     self._perlane_dispatches += K
@@ -874,7 +859,7 @@ class BatchSimulator:
                 if K == B and len(set(lanes)) == B:
                     kern.apply(self.S, None, B)
                 else:
-                    kern.apply(self.S, self.xp.index_array(lanes), K)
+                    kern.apply(self.S, np.array(lanes, dtype=np.intp), K)
                     self._compacted_dispatches += 1
                     self._compacted_lane_dispatches += K
                 clones = self._trig[target]
@@ -997,17 +982,14 @@ class BatchSimulator:
             self._grow_logs(n_steps)
         else:
             for qname, _idx in self._scope_sched:
-                self._scope_buf.setdefault(
-                    qname, self.xp.empty((n_steps, B))
-                )
+                self._scope_buf.setdefault(qname, np.empty((n_steps, B)))
 
     def _grow_logs(self, capacity: int) -> None:
         B = self.n_lanes
         n = self._log_len
-        xp = self.xp
 
         def grown(old, shape):
-            new = xp.empty(shape)
+            new = np.empty(shape)
             if old is not None and n:
                 new[:n] = old[:n]
             return new
@@ -1094,22 +1076,17 @@ class BatchSimulator:
             self._compacted_counted = self._compacted_lane_dispatches
 
     def result(self) -> BatchSimulationResult:
-        """Assemble a :class:`BatchSimulationResult` from the logs so far
-        (always host-side numpy, whatever backend carried the run)."""
+        """Assemble a :class:`BatchSimulationResult` from the logs so far."""
         n = self._log_len
-        asnumpy = self.xp.asnumpy
-        t = (asnumpy(self._t_log[:n]).copy() if self._t_log is not None
-             else np.empty(0))
+        t = self._t_log[:n].copy() if self._t_log is not None else np.empty(0)
         signals: dict[str, np.ndarray] = {}
         for qname, _idx in self._scope_sched:
             label = getattr(self.cm.nodes[qname], "label", None) or qname
-            signals[label] = asnumpy(self._scope_buf[qname][:n]).copy()
+            signals[label] = self._scope_buf[qname][:n].copy()
         if self.options.log_all_signals and n:
             trace = self._trace
             for (qname, port), idx in self.cm.sig_index.items():
-                signals.setdefault(
-                    f"{qname}:{port}", asnumpy(trace[:n, idx, :]).copy()
-                )
+                signals.setdefault(f"{qname}:{port}", trace[:n, idx, :].copy())
         for block, ctx in self._terminate:
             block.terminate(ctx)
         return BatchSimulationResult(t, signals, self.labels)
@@ -1121,7 +1098,7 @@ class BatchSimulator:
         """Current value(s) on an output line: ``(B,)`` copy, or a float
         for one lane."""
         row = self.S[self.cm.sig_index[(qname, port)]]
-        return self.xp.asnumpy(row).copy() if lane is None else float(row[lane])
+        return row.copy() if lane is None else float(row[lane])
 
     def write_signal(
         self, qname: str, port: int, value, lane: Optional[int] = None
@@ -1141,12 +1118,9 @@ def simulate_batch(
     t_final: float,
     dt: float = 1e-3,
     solver: str = "rk4",
-    backend: Union[str, ArrayBackend, None] = None,
     compaction: bool = True,
     **kwargs,
 ) -> BatchSimulationResult:
     """One-call convenience wrapper: compile (if needed) and run a batch."""
     opts = SimulationOptions(dt=dt, t_final=t_final, solver=solver, **kwargs)
-    return BatchSimulator(
-        model, scenarios, opts, backend=backend, compaction=compaction
-    ).run()
+    return BatchSimulator(model, scenarios, opts, compaction=compaction).run()

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .array_backend import ArrayBackend, get_array_backend
 from .block import Block
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -324,47 +323,34 @@ class BatchAffineKernel:
     ``const`` may each be a float or a ``(B,)`` array.
     """
 
-    __slots__ = ("groups", "n_lanes")
+    __slots__ = ("groups",)
 
-    def __init__(self, rows, n_lanes: int, xp: Optional[ArrayBackend] = None):
-        self.n_lanes = n_lanes
-        xp = get_array_backend(xp)
-
+    def __init__(self, rows, n_lanes: int):
         def column(values):
             # scalars are plain floats; anything else is a (B,) lane column
             if any(not isinstance(v, (int, float)) for v in values):
-                return xp.vstack([
+                return np.vstack([
                     v if not isinstance(v, (int, float))
-                    else xp.full(n_lanes, float(v))
+                    else np.full(n_lanes, float(v))
                     for v in values
                 ])
-            return xp.array([float(v) for v in values]).reshape(-1, 1)
+            return np.array([float(v) for v in values]).reshape(-1, 1)
 
         grouped: dict[tuple[int, int], list] = {}
         for r in rows:
             grouped.setdefault((r.level, len(r.coeffs)), []).append(r)
         self.groups = []
         for (_lvl, arity), rs in sorted(grouped.items()):
-            flat_idx = xp.index_array([s for r in rs for s in r.in_sigs])
+            flat_idx = np.array([s for r in rs for s in r.in_sigs],
+                                dtype=np.intp)
             consts = column([r.const for r in rs])
             cols = [column([r.coeffs[j] for r in rs]) for j in range(arity)]
-            outs = xp.index_array([r.out_sig for r in rs])
+            outs = np.array([r.out_sig for r in rs], dtype=np.intp)
             self.groups.append((flat_idx, consts, cols, outs, arity, len(rs)))
 
-    def apply(self, S: np.ndarray) -> None:
-        """Evaluate every row for every lane; scatter into ``S`` rows."""
-        for flat_idx, consts, cols, outs, arity, n_rows in self.groups:
-            if arity:
-                u = S[flat_idx].reshape(n_rows, arity, -1)
-                y = consts + cols[0] * u[:, 0]
-                for j in range(1, arity):
-                    y = y + cols[j] * u[:, j]
-                S[outs] = y
-            else:
-                S[outs] = consts
-
     def make_apply(self, S: np.ndarray):
-        """A pass callable bound to one signal matrix (ignores ``t``)."""
+        """A pass callable bound to one signal matrix (ignores ``t``) that
+        evaluates every row for every lane and scatters into ``S`` rows."""
         groups = self.groups
 
         def run(_t: float, _S=S, _groups=groups) -> None:
@@ -412,15 +398,13 @@ class FusedTriggerKernel:
     into one fused apply instead of looping Python per lane.
     """
 
-    __slots__ = ("program", "latches", "n_rows", "xp", "_T")
+    __slots__ = ("program", "latches", "n_rows", "_T")
 
-    def __init__(self, program, latches, n_rows: int, n_lanes: int,
-                 xp: Optional[ArrayBackend] = None):
+    def __init__(self, program, latches, n_rows: int, n_lanes: int):
         self.program = program
         self.latches = latches
         self.n_rows = n_rows
-        self.xp = get_array_backend(xp)
-        self._T = self.xp.empty((n_rows, n_lanes))
+        self._T = np.empty((n_rows, n_lanes))
 
     def apply(self, S, lanes, width: int) -> None:
         """Execute one triggered call for ``width`` lanes.
@@ -443,8 +427,7 @@ class FusedTriggerKernel:
             S[out_sig, sel] = T[src_row]
 
 
-def plan_fused_trigger(block, outer_in_sigs, outer_out_sigs, n_lanes: int,
-                       xp: Optional[ArrayBackend] = None):
+def plan_fused_trigger(block, outer_in_sigs, outer_out_sigs, n_lanes: int):
     """Build a :class:`FusedTriggerKernel` for a triggered subsystem, or
     ``None`` when one call is not a pure affine function of the outer
     inputs (stateful inner blocks, back-edges, partial Outport coverage,
@@ -496,9 +479,7 @@ def plan_fused_trigger(block, outer_in_sigs, outer_out_sigs, n_lanes: int,
     if sorted(latch_row) != list(range(n_out)):
         return None
     latches = [(outer_out_sigs[i], latch_row[i]) for i in range(n_out)]
-    return FusedTriggerKernel(
-        program, latches, cm.n_signals, n_lanes, xp=xp
-    )
+    return FusedTriggerKernel(program, latches, cm.n_signals, n_lanes)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ in-process (cheap, deterministic) and only the compile step is skipped.
 Layout under the cache dir (``$REPRO_NATIVE_CACHE`` or
 ``~/.cache/repro-native``): ``<key>.c``, ``<key>.so``, ``<key>.json``
 (stats sidecar).  Writes go through a temp file + ``os.replace`` so
-concurrent processes never observe a half-written artifact.
+concurrent processes never observe a half-written artifact.  A cache
+directory that cannot be created or written raises
+:class:`ToolchainError`, like a failed compile.
 
 Builds are single-flight per key within a process: the first caller
 runs ``cc``, later callers wait for it (:func:`ensure_compiled`) or
@@ -45,7 +47,8 @@ from .emit import TEMPLATE_VERSION
 
 
 class ToolchainError(Exception):
-    """No usable C compiler, or the compile itself failed."""
+    """No usable C compiler, the compile itself failed, or the cache
+    directory cannot be created, read or written."""
 
 
 #: flags that pin IEEE-754 semantics: no fast-math value substitution,
@@ -111,7 +114,10 @@ def cache_dir() -> str:
     d = os.environ.get("REPRO_NATIVE_CACHE")
     if not d:
         d = os.path.join(os.path.expanduser("~"), ".cache", "repro-native")
-    os.makedirs(d, exist_ok=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as exc:
+        raise ToolchainError(f"native cache directory unusable: {exc}") from exc
     return d
 
 
@@ -160,7 +166,7 @@ def native_cache_stats() -> dict:
         snap["bytes"] = sum(
             os.path.getsize(os.path.join(d, f)) for f in sos
         )
-    except OSError:
+    except (OSError, ToolchainError):
         snap["artifacts"] = 0
         snap["bytes"] = 0
     snap["toolchain"] = find_cc() or ""
@@ -323,6 +329,9 @@ def _build(art: _Artifact, build: _Build) -> None:
             "compile_s": compile_s,
             "template": TEMPLATE_VERSION,
         }, indent=2, sort_keys=True))
+    except OSError as exc:  # cache-directory I/O (or starting cc) failed
+        build.error = str(exc)
+        raise ToolchainError(build.error) from exc
     except BaseException as exc:
         build.error = str(exc) or type(exc).__name__
         raise
@@ -380,7 +389,7 @@ def reuse_compiled(source: str) -> Optional[str]:
 def _build_quietly(art: _Artifact, build: _Build) -> None:
     try:
         _build(art, build)
-    except (ToolchainError, OSError):
+    except ToolchainError:
         pass  # recorded in ``_failed``; the next bind reports it
 
 

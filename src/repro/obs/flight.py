@@ -93,6 +93,8 @@ class FlightRecorder:
         self.dropped_events = 0
         self.trigger_counts: dict[str, int] = {}
         self.dumps: list[str] = []
+        #: auto-dumps that failed to write (counted, never raised)
+        self.dump_errors = 0
         self._last_dump_at: Optional[float] = None
         self._dump_seq = 0
         self.pid = os.getpid()
@@ -146,9 +148,12 @@ class FlightRecorder:
         """Record a trigger event and auto-dump the ring.
 
         Returns the dump path, or ``None`` when no dump was written
-        (recorder disabled, no ``dump_dir`` configured, rate-limited, or
-        the ``max_dumps`` cap was reached — the trigger is still counted
-        and recorded in the ring in every case).
+        (recorder disabled, no ``dump_dir`` configured, rate-limited,
+        the ``max_dumps`` cap was reached, or the write failed, which
+        counts in ``dump_errors`` — the trigger is still counted and
+        recorded in the ring in every case).  A trigger fires inside the
+        path that failed, so a dump that cannot be written must not add
+        a failure of its own.
         """
         if not self.enabled:
             return None
@@ -172,7 +177,12 @@ class FlightRecorder:
         path = os.path.join(
             self.dump_dir, f"flight-{self.pid}-{seq:03d}-{reason}.jsonl"
         )
-        return self._write_dump(path, reason, args)
+        try:
+            return self._write_dump(path, reason, args)
+        except OSError:
+            with self._lock:
+                self.dump_errors += 1
+            return None
 
     def dump(self, path: Optional[str] = None, reason: str = "manual") -> str:
         """Write the ring to ``path`` (or an auto-named file under
@@ -228,6 +238,7 @@ class FlightRecorder:
                 "enabled": self.enabled,
                 "dump_dir": self.dump_dir,
                 "dumps": list(self.dumps),
+                "dump_errors": self.dump_errors,
                 "trigger_counts": dict(self.trigger_counts),
             }
 

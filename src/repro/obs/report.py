@@ -39,16 +39,19 @@ def _phase_sort_key(name: str) -> tuple:
 
 
 def load_ops_input(path) -> dict:
-    """Load a snapshot JSON or a flight JSONL, tagging which it was."""
+    """Load a snapshot JSON or a flight JSONL, tagging which it was.
+
+    A one-event dump parses as a single object too; an object that is an
+    event (it has ``name`` and ``ts``) is read as a flight dump."""
     path = os.fspath(path)
     with open(path) as fh:
         text = fh.read()
     try:
         doc = json.loads(text)
-        if isinstance(doc, dict):
-            return {"kind": "snapshot", "snapshot": doc, "path": path}
     except json.JSONDecodeError:
-        pass
+        doc = None  # several lines: a flight JSONL
+    if isinstance(doc, dict) and not ("name" in doc and "ts" in doc):
+        return {"kind": "snapshot", "snapshot": doc, "path": path}
     events = [json.loads(line) for line in text.splitlines() if line.strip()]
     return {"kind": "flight", "events": events, "path": path}
 

@@ -106,6 +106,7 @@ def run_pair(factory, scenarios, t_final=0.05, dt=1e-3, solver="rk4",
         assert batch.native_active or reason.startswith("plan_refused"), reason
     else:
         assert not batch.native_active
+        assert batch.plan_stats["substrate"] == batch.substrate == "numpy"
     return serial, batch, batched
 
 

@@ -37,8 +37,8 @@ DT = 1e-3
 
 
 def run_batch(factory, scenarios, **sim_kwargs):
-    """One batched run with explicit compaction knobs, pinned to the
-    numpy engine (the subject here)."""
+    """One batched run, compaction on or off, pinned to the numpy engine
+    (the subject here)."""
     sim = BatchSimulator(
         factory().compile(DT),
         scenarios,
@@ -128,19 +128,6 @@ class TestFallbacks:
         assert stats["perlane_dispatches"] > 0
         assert stats["fused_dispatches"] == 0
         assert stats["recovered_lane_steps"] == 0
-
-    def test_compact_min_lanes_gate(self):
-        # a threshold above the batch width forces every group through
-        # the per-lane path even though a fused kernel was planned
-        serial = serial_reference(diverging_event_model, MIXED)
-        sim, batched = run_batch(
-            diverging_event_model, MIXED, compact_min_lanes=64
-        )
-        assert_lanes_identical(serial, batched)
-        assert sim.plan_stats["fused_triggers"] == 1
-        stats = sim.compaction_stats
-        assert stats["fused_dispatches"] == 0
-        assert stats["perlane_dispatches"] > 0
 
     def test_nonaffine_isr_never_fuses(self):
         serial = serial_reference(saturating_event_model, MIXED)

@@ -10,9 +10,11 @@ abandoned: exit does not wait for it, and neither its ``cc``, the
 passes that ``cc`` started, nor its temp file outlives the process; a
 build that reaches ``cc`` only after exit began does not start it.
 Builds of different artifacts run at most one ``cc`` per usable CPU at
-a time.
+a time.  A cache directory that cannot be created or written is a
+compile error: the run falls back to Python, bit for bit.
 """
 
+import errno
 import multiprocessing
 import os
 import signal
@@ -26,8 +28,10 @@ import pytest
 from repro.model import Simulator, SimulationOptions
 from repro.native import cache, find_cc, generate_tu, native_cache_stats
 
-from tests.model.test_kernels import mixed_rate_model
+from tests.model.test_kernels import assert_identical, mixed_rate_model
 from tests.native.conftest import require_cc, run_threads
+from tests.native.test_native_lanes import POINTS, ensemble, fallback_count
+from tests.native.test_native_params import servo_factory
 
 
 def _sim(native):
@@ -154,6 +158,65 @@ class TestConcurrentBuilds:
         for source in sources:
             path = cache.reuse_compiled(source)
             assert path is not None and os.path.exists(path)
+
+
+def _servo(native):
+    return Simulator(servo_factory(100.0, 6.0)().compile(1e-4),
+                     SimulationOptions(dt=1e-4, t_final=0.01, native=native))
+
+
+class TestUnusableCacheDir:
+    """An unusable cache directory takes the ``compile_error`` rung."""
+
+    @pytest.fixture
+    def blocked(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        path = str(blocker / "cache")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", path)
+        return path
+
+    @pytest.mark.parametrize("mode", [True, "auto", "reuse"])
+    def test_simulator_falls_back(self, blocked, mode):
+        require_cc()
+        ref = _servo(False).run()
+        before = fallback_count("compile_error")
+        sim = _servo(mode)
+        res = sim.run()
+        assert not sim.native_active
+        reason = sim.native_fallback_reason
+        assert reason.startswith("compile_error"), reason
+        assert blocked in reason and f"Errno {errno.ENOTDIR}" in reason
+        assert fallback_count("compile_error") == before + 1
+        assert_identical(ref, res)
+
+    def test_batch_simulator_falls_back(self, blocked):
+        require_cc()
+        ref = ensemble(POINTS[:2], native_mode=False, t_final=0.01).run()
+        before = fallback_count("compile_error")
+        sim = ensemble(POINTS[:2], native_mode=True, t_final=0.01)
+        res = sim.run()
+        assert not sim.native_active and sim.substrate == "numpy"
+        assert sim.native_fallback_reason.startswith("compile_error")
+        assert blocked in sim.native_fallback_reason
+        assert fallback_count("compile_error") == before + 1
+        assert_identical(ref, res)
+
+    def test_failed_write_into_the_cache_falls_back(self, monkeypatch):
+        require_cc()
+
+        def denied(path, text):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+
+        monkeypatch.setattr(cache, "_atomic_write", denied)
+        ref = _servo(False).run()
+        sim = _servo(True)
+        res = sim.run()
+        assert not sim.native_active
+        reason = sim.native_fallback_reason
+        assert reason.startswith("compile_error"), reason
+        assert f"Errno {errno.EACCES}" in reason
+        assert_identical(ref, res)
 
 
 class TestFingerprint:

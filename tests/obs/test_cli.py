@@ -125,6 +125,17 @@ class TestServeAndReport:
         assert doc["source"] == "flight"
         assert doc["triggers"].get("deadline_shed") == 1
 
+    def test_one_event_flight_dump_reports_as_flight(self, tmp_path, capsys):
+        from repro.obs.flight import FlightRecorder, load_flight_dump
+
+        # a trigger on an empty ring dumps exactly one event
+        path = FlightRecorder(dump_dir=str(tmp_path)).trigger("deadline_shed")
+        assert len(load_flight_dump(path)) == 1
+        assert main(["report", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["source"] == "flight"
+        assert doc["triggers"] == {"deadline_shed": 1}
+
 
 class TestValidator:
     def test_negative_duration_flagged(self):

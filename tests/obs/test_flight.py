@@ -103,6 +103,23 @@ class TestTriggers(unittest.TestCase):
             self.assertIsNone(fr.trigger("manual"))  # capped
             self.assertEqual(len(fr.dumps), 1)
 
+    def test_unwritable_dump_dir_is_counted_not_raised(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            blocker = os.path.join(tmp, "not-a-dir")
+            open(blocker, "w").close()
+            dump_dir = os.path.join(blocker, "flight")
+            fr = FlightRecorder(dump_dir=dump_dir, min_dump_interval_s=0.0)
+            self.assertIsNone(fr.trigger("job_exception", args={"job": "j1"}))
+            self.assertIsNone(fr.trigger("job_exception"))
+            self.assertEqual(fr.trigger_counts, {"job_exception": 2})
+            names = [e["name"] for e in fr.events()]
+            self.assertEqual(names.count("flight.trigger.job_exception"), 2)
+            self.assertEqual(fr.stats()["dump_errors"], 2)
+            self.assertEqual(fr.dumps, [])
+            # an explicit dump still reports the failure to its caller
+            with self.assertRaises(OSError):
+                fr.dump(os.path.join(dump_dir, "box.jsonl"))
+
     def test_explicit_dump(self):
         with tempfile.TemporaryDirectory() as tmp:
             fr = FlightRecorder()
@@ -126,6 +143,7 @@ class TestTriggers(unittest.TestCase):
         self.assertEqual(stats["capacity"], 16)
         self.assertEqual(stats["events"], 2)
         self.assertEqual(stats["trigger_counts"], {"manual": 1})
+        self.assertEqual(stats["dump_errors"], 0)
         self.assertTrue(stats["enabled"])
 
 

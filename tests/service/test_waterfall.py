@@ -158,6 +158,26 @@ class TestFlightIntegration(unittest.TestCase):
             finish = [e for e in events if e["name"] == "job.finish"][0]
             self.assertIn("builder exploded", finish["args"]["error"])
 
+    def test_unwritable_dump_dir_keeps_the_worker(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            blocker = os.path.join(tmp, "not-a-dir")
+            open(blocker, "w").close()
+            fr = FlightRecorder(dump_dir=os.path.join(blocker, "flight"))
+            with SimServe(workers=1, flight=fr) as svc:
+                bad = svc.submit(MILRequest(builder=crashing_builder, dt=DT,
+                                            t_final=T_FINAL))
+                self.assertTrue(bad.wait(10.0))
+                self.assertEqual(bad.state, JobState.FAILED)
+                self.assertEqual(svc.health()["pool"]["workers_alive"], 1)
+                again = svc.submit(MILRequest(builder=build_loop_model, dt=DT,
+                                              t_final=T_FINAL))
+                self.assertTrue(again.wait(10.0))
+                self.assertEqual(again.state, JobState.DONE)
+                flight = svc.status()["metrics"]["flight"]
+            self.assertEqual(flight["trigger_counts"], {"job_exception": 1})
+            self.assertEqual(flight["dump_errors"], 1)
+            self.assertEqual(fr.dumps, [])
+
     def test_worker_crash_triggers_dump(self):
         with tempfile.TemporaryDirectory() as tmp:
             fr = FlightRecorder(dump_dir=tmp)
