@@ -57,8 +57,7 @@ def serial_reference():
     req = request()
     sim = Simulator(
         req.resolve_model().compile(DT),
-        SimulationOptions(dt=DT, t_final=T_FINAL, solver=req.solver,
-                          use_kernels=req.use_kernels),
+        SimulationOptions(dt=DT, t_final=T_FINAL, solver=req.solver),
     )
     return sim.run()
 

@@ -31,8 +31,9 @@ import urllib.request
 from pathlib import Path
 
 from repro.casestudy import build_servo_model
-from repro.obs.flight import FlightRecorder, load_flight_dump
+from repro.obs.flight import FlightRecorder
 from repro.obs.report import build_report, load_ops_input, render_html
+from repro.obs.trace import load_trace
 from repro.service import JobPriority, JobState, MILRequest, SimServe
 
 DT = 1e-4
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
     # --- post-mortem: the shed auto-dumped a black box ----------------
     assert flight.trigger_counts.get("deadline_shed") == 1
     dump = flight.dumps[0]
-    events = load_flight_dump(dump)
+    events = load_trace(dump)
     sheds = [e for e in events if e["name"] == "job.finish"
              and e["args"]["state"] == "expired"]
     print(f"flight dump: {Path(dump).name} ({len(events)} events, "

@@ -8,7 +8,9 @@ major steps, ARQ frame lifecycle, fault-campaign cells, SimServe job
 flow) onto a single timeline with both wall-clock and sim-time stamps;
 one :class:`MetricsRegistry` holds counters/gauges/histograms with
 Prometheus-text export; a :class:`RunManifest` pins each exported trace
-to the code, config and library versions that produced it.
+to the code, config and library versions that produced it.  The
+always-on black box, :class:`FlightRecorder`, is a second :class:`Tracer`
+with trigger dumps, so its dumps are traces every tool here reads.
 
 Quick use::
 
@@ -25,7 +27,6 @@ from .flight import (
     FlightRecorder,
     configure_flight,
     get_flight_recorder,
-    load_flight_dump,
 )
 from .manifest import RunManifest
 from .metrics import (
@@ -66,7 +67,6 @@ __all__ = [
     "NULL_RECORDER",
     "get_flight_recorder",
     "configure_flight",
-    "load_flight_dump",
     "OpsServer",
     "load_ops_input",
     "build_report",

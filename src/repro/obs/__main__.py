@@ -20,8 +20,10 @@ endpoint (``/metrics``, ``/healthz``, ``/statusz``, ``/flight``) and —
 optionally — synthetic servo traffic so the endpoints have something to
 show; ``--force-shed`` submits an already-expired job to exercise the
 deadline-shed flight trigger (what the CI smoke job curls).
-``report`` renders a metrics snapshot or a flight-recorder dump into the
-per-phase latency-waterfall ops report.
+``report`` renders a metrics snapshot or an event file (a flight-recorder
+dump, or any trace in either format) into the per-phase latency-waterfall
+ops report.  A flight dump is a JSONL trace, so ``summary`` and
+``convert`` read it too.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser(
         "report", help="latency-waterfall ops report from a snapshot/flight dump"
     )
-    p_rep.add_argument("input", help="metrics snapshot JSON or flight dump JSONL")
+    p_rep.add_argument("input", help="metrics snapshot JSON, or a flight dump / trace")
     p_rep.add_argument("-o", "--output", default=None,
                        help="write a self-contained HTML report here")
     p_rep.add_argument("--json", action="store_true",

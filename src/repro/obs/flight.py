@@ -4,26 +4,29 @@ The user-facing :class:`~repro.obs.trace.Tracer` is *opt-in* — it stays
 disabled unless someone is actively profiling, so when a worker crashes
 at 3am there is nothing to look at.  The flight recorder is the
 complement: a **cheap, always-on** ring of recent operational events
-(job lifecycle edges, phase waterfalls, link recoveries) that costs a
-dict append per event and is independent of the tracer's enable state.
+(job lifecycle edges, phase waterfalls, link recoveries) that costs one
+trace instant per event and is independent of the tracer's enable state.
+
+A :class:`FlightRecorder` *is* a :class:`~repro.obs.trace.Tracer` — a
+second instance of the one ring type, so the tracer's sampled engine
+spans cannot evict the ``job.finish`` events a crash dump exists to
+keep, and a ``use_tracer`` swap does not swap the black box away.  Its
+events are trace instants (``ph == "i"``, the schema of
+:mod:`repro.obs.trace`); ``ts`` is seconds since the ring's epoch.
 
 On a *trigger event* — worker crash, deadline shed, job exception,
-watchdog reset, campaign interrupt — the recorder snapshots the ring to
-a JSONL dump (plus a manifest sidecar pinning the trigger, code state
-and library versions) so the minutes leading up to the failure survive
-the process.  Dumps are rate-limited and capped so a crash loop cannot
-fill a disk.
-
-Event schema (one JSON object per line in a dump)::
-
-    {"ts": <monotonic s since recorder epoch>, "wall": <unix time>,
-     "name": "job.finish", "cat": "service", "sim_t": null,
-     "pid": 1234, "tid": 5678, "args": {...}}
+watchdog reset, campaign interrupt — the recorder writes the ring with
+:meth:`~repro.obs.trace.Tracer.export_jsonl` (plus a manifest sidecar
+pinning the trigger, the ring's wall-clock ``epoch``, code state and
+library versions) so the minutes leading up to the failure survive the
+process.  An event's wall time is ``epoch + ts``.  Dumps are
+rate-limited and capped so a crash loop cannot fill a disk.
 
 ``job.finish`` events carry the job's full phase waterfall in
 ``args["phases"]`` — a flight dump alone reconstructs what every recent
 job spent in queue/coalesce/cache/run/demux/store
-(``python -m repro.obs report dump.jsonl``).
+(``python -m repro.obs report dump.jsonl``), and every trace tool reads
+it (``summary``, ``convert`` to Chrome JSON for Perfetto).
 
 A process-wide recorder (:func:`get_flight_recorder`) is shared by the
 service, campaign and PIL layers; :func:`configure_flight` points it at
@@ -35,10 +38,10 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from collections import deque
 from typing import Optional
+
+from .trace import Tracer
 
 __all__ = [
     "FlightRecorder",
@@ -69,8 +72,13 @@ TRIGGER_REASONS = (
 ENV_FLIGHT_DIR = "REPRO_FLIGHT_DIR"
 
 
-class FlightRecorder:
-    """Bounded, thread-safe black-box event ring with trigger dumps."""
+class FlightRecorder(Tracer):
+    """Always-on bounded event ring (a :class:`Tracer`) with trigger dumps.
+
+    Pickling ships the configuration only, as for any :class:`Tracer`:
+    the ring, the trigger counts and the dump list start empty on the
+    far side.
+    """
 
     def __init__(
         self,
@@ -80,66 +88,25 @@ class FlightRecorder:
         max_dumps: int = DEFAULT_MAX_DUMPS,
         min_dump_interval_s: float = DEFAULT_MIN_DUMP_INTERVAL_S,
     ):
-        if capacity < 1:
-            raise ValueError("flight-recorder capacity must be >= 1")
-        self.capacity = int(capacity)
-        self.enabled = bool(enabled)
+        super().__init__(capacity=capacity, enabled=enabled)
         self.dump_dir = os.fspath(dump_dir) if dump_dir is not None else None
         self.max_dumps = int(max_dumps)
         self.min_dump_interval_s = float(min_dump_interval_s)
-        self._buf: deque = deque(maxlen=self.capacity)
-        self._lock = threading.Lock()
-        self._t0 = time.monotonic()
-        self.dropped_events = 0
         self.trigger_counts: dict[str, int] = {}
         self.dumps: list[str] = []
         #: auto-dumps that failed to write (counted, never raised)
         self.dump_errors = 0
         self._last_dump_at: Optional[float] = None
         self._dump_seq = 0
-        self.pid = os.getpid()
 
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
-    def record(
-        self,
-        name: str,
-        cat: str = "service",
-        args: Optional[dict] = None,
-        sim_t: Optional[float] = None,
-    ) -> None:
-        """Append one event to the ring (a dict build + deque append)."""
-        if not self.enabled:
-            return
-        event = {
-            "ts": time.monotonic() - self._t0,
-            "wall": time.time(),
-            "name": name,
-            "cat": cat,
-            "sim_t": sim_t,
-            "pid": self.pid,
-            "tid": threading.get_ident(),
-            "args": args if args is not None else {},
+    def __getstate__(self) -> dict:
+        return {
+            "capacity": self.capacity,
+            "enabled": self.enabled,
+            "dump_dir": self.dump_dir,
+            "max_dumps": self.max_dumps,
+            "min_dump_interval_s": self.min_dump_interval_s,
         }
-        with self._lock:
-            if len(self._buf) == self.capacity:
-                self.dropped_events += 1
-            self._buf.append(event)
-
-    def events(self) -> list[dict]:
-        """Snapshot of the ring, oldest first."""
-        with self._lock:
-            return list(self._buf)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._buf)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._buf.clear()
-            self.dropped_events = 0
 
     # ------------------------------------------------------------------
     # triggers + dumping
@@ -159,7 +126,7 @@ class FlightRecorder:
             return None
         with self._lock:
             self.trigger_counts[reason] = self.trigger_counts.get(reason, 0) + 1
-        self.record(f"flight.trigger.{reason}", cat="flight", args=args)
+        self.instant(f"flight.trigger.{reason}", cat="flight", args=args)
         if self.dump_dir is None:
             return None
         now = time.monotonic()
@@ -198,19 +165,26 @@ class FlightRecorder:
 
     def _write_dump(self, path: str, reason: str, args: Optional[dict]) -> str:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        events = self.events()
-        with open(path, "w") as fh:
-            for ev in events:
-                fh.write(json.dumps(ev, default=str) + "\n")
+        self.export_jsonl(path, config={"reason": reason, "trigger_args": args or {}})
+        with self._lock:
+            self.dumps.append(path)
+        return path
+
+    def _write_manifest(self, trace_path: str, config: Optional[dict], events: int) -> None:
+        """The flight manifest: ``config`` names the trigger (``reason``,
+        ``trigger_args``); ``epoch`` is the wall time of ``ts == 0``."""
+        config = config or {}
+        wall_time = time.time()
         manifest = {
             "kind": "flight-dump",
-            "reason": reason,
-            "trigger_args": args or {},
-            "events": len(events),
+            "reason": config.get("reason", "manual"),
+            "trigger_args": config.get("trigger_args", {}),
+            "events": events,
             "dropped_events": self.dropped_events,
             "capacity": self.capacity,
             "trigger_counts": dict(self.trigger_counts),
-            "wall_time": time.time(),
+            "epoch": wall_time - self.now(),
+            "wall_time": wall_time,
             "pid": self.pid,
         }
         try:
@@ -219,15 +193,8 @@ class FlightRecorder:
             manifest["run"] = RunManifest.collect(config=None).as_dict()
         except Exception:  # manifest collection must never block a dump
             pass
-        with open(path + ".manifest.json", "w") as fh:
+        with open(trace_path + ".manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, default=str)
-        with self._lock:
-            self.dumps.append(path)
-        return path
-
-    def to_jsonl(self) -> str:
-        """The ring as JSONL text (what the ``/flight`` endpoint serves)."""
-        return "".join(json.dumps(ev, default=str) + "\n" for ev in self.events())
 
     def stats(self) -> dict:
         with self._lock:
@@ -250,12 +217,7 @@ class FlightRecorder:
 
 
 #: a permanently disabled recorder — what ``SimServe(flight=False)`` uses
-class _NullFlightRecorder(FlightRecorder):
-    def __init__(self):
-        super().__init__(capacity=1, enabled=False)
-
-
-NULL_RECORDER = _NullFlightRecorder()
+NULL_RECORDER = FlightRecorder(capacity=1, enabled=False)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +243,9 @@ def configure_flight(
     Changing ``capacity`` rebuilds the ring (newest events kept).
     """
     fr = _GLOBAL
+    if capacity is not None:
+        fr._resize(capacity)
     with fr._lock:
-        if capacity is not None and capacity != fr.capacity:
-            if capacity < 1:
-                raise ValueError("flight-recorder capacity must be >= 1")
-            old = list(fr._buf)
-            fr.capacity = int(capacity)
-            fr._buf = deque(old[-capacity:], maxlen=capacity)
         if dump_dir is not None:
             fr.dump_dir = os.fspath(dump_dir)
         if enabled is not None:
@@ -297,9 +255,3 @@ def configure_flight(
         if min_dump_interval_s is not None:
             fr.min_dump_interval_s = float(min_dump_interval_s)
     return fr
-
-
-def load_flight_dump(path) -> list[dict]:
-    """Load a flight-recorder JSONL dump back into event dicts."""
-    with open(os.fspath(path)) as fh:
-        return [json.loads(line) for line in fh if line.strip()]

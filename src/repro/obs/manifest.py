@@ -108,15 +108,3 @@ class RunManifest:
     def write_next_to(self, trace_path) -> str:
         """Write as ``<trace_path>.manifest.json`` and return that path."""
         return self.write(os.fspath(trace_path) + ".manifest.json")
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        with open(os.fspath(path)) as fh:
-            doc = json.load(fh)
-        return cls(
-            git=doc.get("git", {}),
-            versions=doc.get("versions", {}),
-            config=doc.get("config"),
-            metrics=doc.get("metrics"),
-            tracer_stats=doc.get("tracer_stats"),
-        )

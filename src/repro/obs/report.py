@@ -7,10 +7,12 @@ the two ops-plane artifacts into one HTML page (or a JSON summary):
   :meth:`repro.service.metrics.ServiceMetrics.snapshot` (e.g. saved from
   ``/statusz`` or ``python -m repro.service --json``), whose
   ``waterfall`` section already carries per-phase percentiles;
-* a **flight-recorder dump** — the JSONL written on a trigger event;
-  the per-job ``job.finish`` events carry raw phase durations, so the
-  report recomputes the waterfall from the black box alone (this is how
-  a crash that took the process down is profiled post-mortem).
+* an **event file** — a flight-recorder dump (the JSONL written on a
+  trigger event), or any trace export in either format, read by
+  :func:`~repro.obs.trace.load_trace`; the per-job ``job.finish``
+  events carry raw phase durations, so the report recomputes the
+  waterfall from the black box alone (this is how a crash that took the
+  process down is profiled post-mortem).
 
 The phase taxonomy matches the paper's E3 profiling decomposition: the
 MIL/PIL experiments split a control period into stage timings; SimServe
@@ -21,9 +23,11 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Optional
+from typing import Iterable
 
+from .server import _html_escape as esc
 from .summary import _percentile
+from .trace import load_trace
 
 __all__ = ["load_ops_input", "build_report", "render_html", "render_text"]
 
@@ -39,21 +43,20 @@ def _phase_sort_key(name: str) -> tuple:
 
 
 def load_ops_input(path) -> dict:
-    """Load a snapshot JSON or a flight JSONL, tagging which it was.
+    """Load a metrics snapshot or an event file, tagging which it was.
 
-    A one-event dump parses as a single object too; an object that is an
-    event (it has ``name`` and ``ts``) is read as a flight dump."""
+    A JSON object that is neither a Chrome trace nor one event (a
+    one-event dump parses as a single object too) is a snapshot; every
+    other file is read by :func:`~repro.obs.trace.load_trace`."""
     path = os.fspath(path)
     with open(path) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None  # several lines: a flight JSONL
-    if isinstance(doc, dict) and not ("name" in doc and "ts" in doc):
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError:
+            doc = None  # several lines: JSONL
+    if isinstance(doc, dict) and "traceEvents" not in doc and "ph" not in doc:
         return {"kind": "snapshot", "snapshot": doc, "path": path}
-    events = [json.loads(line) for line in text.splitlines() if line.strip()]
-    return {"kind": "flight", "events": events, "path": path}
+    return {"kind": "flight", "events": load_trace(path), "path": path}
 
 
 def _phase_rows_from_samples(samples: dict) -> list[dict]:
@@ -190,12 +193,6 @@ def render_text(report: dict) -> str:
 
 def render_html(report: dict, title: str = "SimServe ops report") -> str:
     """Self-contained HTML: phase waterfall bars + percentile table."""
-    def esc(text) -> str:
-        return (
-            str(text).replace("&", "&amp;").replace("<", "&lt;")
-            .replace(">", "&gt;")
-        )
-
     j = report["jobs"]
     max_p95 = max((r["p95"] for r in report["phases"]), default=0.0) or 1.0
     phase_rows = []
@@ -259,13 +256,3 @@ def render_html(report: dict, title: str = "SimServe ops report") -> str:
         + "".join(sections)
         + "</body></html>"
     )
-
-
-def write_report(input_path, output_path: Optional[str] = None) -> str:
-    """Convenience: INPUT -> HTML file; returns the path written."""
-    report = build_report(load_ops_input(input_path))
-    if output_path is None:
-        output_path = os.fspath(input_path) + ".report.html"
-    with open(os.fspath(output_path), "w") as fh:
-        fh.write(render_html(report))
-    return os.fspath(output_path)

@@ -27,10 +27,13 @@ The tracer pickles safely (process workers may drag it along inside
 closures): only the configuration crosses the boundary, the buffer and
 lock are rebuilt empty on the far side.
 
-Exporters: :meth:`Tracer.export_jsonl` (one JSON object per line) and
-:meth:`Tracer.export_chrome` (Chrome ``chrome://tracing`` / Perfetto
-trace-event JSON).  Both write a :class:`~repro.obs.manifest.RunManifest`
-next to the trace unless told otherwise.
+Exporters: :meth:`Tracer.export_jsonl` (one JSON object per line, the
+text of :meth:`Tracer.to_jsonl`) and :meth:`Tracer.export_chrome`
+(Chrome ``chrome://tracing`` / Perfetto trace-event JSON).  Both write a
+:class:`~repro.obs.manifest.RunManifest` next to the trace unless told
+otherwise.  The flight recorder (:mod:`repro.obs.flight`) is a
+:class:`Tracer` too, so its dumps are traces that :func:`load_trace`
+reads back.
 """
 
 from __future__ import annotations
@@ -337,14 +340,29 @@ class Tracer:
             self.dropped_events = 0
             self._overflow_noted = False
 
+    def _resize(self, capacity: int) -> None:
+        """Rebuild the ring at ``capacity``, keeping the newest events."""
+        if capacity < 1:
+            raise ValueError("tracer capacity must be >= 1")
+        with self._lock:
+            if capacity != self.capacity:
+                self.capacity = int(capacity)
+                self._buf = deque(self._buf, maxlen=self.capacity)
+                self._overflow_noted = False
+
+    def to_jsonl(self) -> str:
+        """The ring as JSONL text, one event per line, oldest first; an
+        arg JSON cannot encode is written as its ``str``."""
+        return "".join(json.dumps(ev, default=str) + "\n" for ev in self.events())
+
     def export_jsonl(self, path, manifest: bool = True, config: Optional[dict] = None) -> str:
         """Write one JSON object per line; returns the path written."""
         path = os.fspath(path)
+        text = self.to_jsonl()
         with open(path, "w") as fh:
-            for ev in self.events():
-                fh.write(json.dumps(ev) + "\n")
+            fh.write(text)
         if manifest:
-            self._write_manifest(path, config)
+            self._write_manifest(path, config, text.count("\n"))
         return path
 
     def export_chrome(self, path, manifest: bool = True, config: Optional[dict] = None) -> str:
@@ -377,16 +395,18 @@ class Tracer:
         with open(path, "w") as fh:
             json.dump(doc, fh)
         if manifest:
-            self._write_manifest(path, config)
+            self._write_manifest(path, config, len(out))
         return path
 
-    def _write_manifest(self, trace_path: str, config: Optional[dict]) -> None:
+    def _write_manifest(self, trace_path: str, config: Optional[dict], events: int) -> None:
+        """Write ``<trace_path>.manifest.json`` for an export of ``events``
+        events."""
         from .manifest import RunManifest
 
         RunManifest.collect(
             config=config,
             tracer_stats={
-                "events": len(self),
+                "events": events,
                 "dropped_events": self.dropped_events,
                 "capacity": self.capacity,
             },
@@ -426,14 +446,9 @@ def configure(
     kept, newest-first, up to the new capacity).
     """
     tr = _GLOBAL
+    if capacity is not None:
+        tr._resize(capacity)
     with tr._lock:
-        if capacity is not None and capacity != tr.capacity:
-            if capacity < 1:
-                raise ValueError("tracer capacity must be >= 1")
-            old = list(tr._buf)
-            tr.capacity = int(capacity)
-            tr._buf = deque(old[-capacity:], maxlen=capacity)
-            tr._overflow_noted = False
         if step_stride is not None:
             if step_stride < 1:
                 raise ValueError("step_stride must be >= 1")

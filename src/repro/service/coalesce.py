@@ -16,10 +16,9 @@ Three pieces:
 * :func:`coalesce_key` — the compatibility key.  Two requests may share
   one :class:`~repro.model.BatchSimulator` run iff their canonical model
   documents hash identically **and** every option that shapes the
-  trajectory (``dt``, ``solver``, ``t_final``, ``use_kernels``,
-  ``log_all_signals``) matches.  Requests that cannot be keyed (PIL,
-  campaign cells, fan-out sweeps, unhashable models) return ``None`` and
-  always run serial.
+  trajectory (``dt``, ``solver``, ``t_final``, ``log_all_signals``)
+  matches.  Requests that cannot be keyed (PIL, campaign cells, fan-out
+  sweeps, unhashable models) return ``None`` and always run serial.
 * :class:`CoalesceConfig` — max batch width and the coalesce window: how
   long the first popped job waits for same-key peers before the batch is
   sealed.  ``from_env()`` reads the ``SIMSERVE_COALESCE*`` variables so
@@ -116,12 +115,7 @@ def coalesce_key(request) -> Optional[Tuple]:
         # unhashable (callable-holding) or unbuildable models run serial;
         # the build error, if real, surfaces on the worker with context
         return None
-    return (
-        content,
-        request.t_final,
-        request.use_kernels,
-        request.log_all_signals,
-    )
+    return (content, request.t_final, request.log_all_signals)
 
 
 class CoalescedBatch:

@@ -98,7 +98,6 @@ class MILRequest:
     dt: float = 1e-3
     t_final: float = 1.0
     solver: str = "rk4"
-    use_kernels: bool = True
     log_all_signals: bool = False
     #: keep the full SimulationResult in the result store (summaries are
     #: always kept; traces are what the LRU bound really protects against)
@@ -177,7 +176,6 @@ class SweepRequest:
     dt: float = 1e-3
     t_final: float = 1.0
     solver: str = "rk4"
-    use_kernels: bool = True
     log_all_signals: bool = False
     retain_trace: bool = True
     execution: str = "fanout"
@@ -212,7 +210,6 @@ class SweepRequest:
                     dt=self.dt,
                     t_final=self.t_final,
                     solver=self.solver,
-                    use_kernels=self.use_kernels,
                     log_all_signals=self.log_all_signals,
                     retain_trace=self.retain_trace,
                 )

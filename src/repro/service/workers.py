@@ -119,7 +119,6 @@ def _run_leased(
             dt=req.dt,
             t_final=req.t_final,
             solver=req.solver,
-            use_kernels=req.use_kernels,
             log_all_signals=req.log_all_signals,
             cancel=cancel,
         ))
@@ -303,7 +302,7 @@ def record_finish(flight, job: Job) -> None:
     whether a worker ran it or the queue finished it (shed, cancelled
     while pending)."""
     if flight.enabled:
-        flight.record("job.finish", cat="service", args={
+        flight.instant("job.finish", cat="service", args={
             "job": job.id,
             "kind": job.kind,
             "state": job.state.value,
@@ -577,8 +576,8 @@ class WorkerPool:
         except BrokenProcessPool as exc:
             crashed = True
             self.crash_count += 1
-            self.flight.record("worker.crash", cat="service",
-                               args={**ident, "backend": "process"})
+            self.flight.instant("worker.crash", cat="service",
+                                args={**ident, "backend": "process"})
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.instant("service.worker_crash", cat="service", args=ident)

@@ -126,15 +126,56 @@ class TestServeAndReport:
         assert doc["triggers"].get("deadline_shed") == 1
 
     def test_one_event_flight_dump_reports_as_flight(self, tmp_path, capsys):
-        from repro.obs.flight import FlightRecorder, load_flight_dump
+        from repro.obs.flight import FlightRecorder
 
         # a trigger on an empty ring dumps exactly one event
         path = FlightRecorder(dump_dir=str(tmp_path)).trigger("deadline_shed")
-        assert len(load_flight_dump(path)) == 1
+        assert len(load_trace(path)) == 1
         assert main(["report", path, "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["source"] == "flight"
         assert doc["triggers"] == {"deadline_shed": 1}
+
+
+class TestOneSchema:
+    """A flight dump is a trace and a trace export is ops-report input."""
+
+    def test_flight_dump_validates_converts_and_reports(self, tmp_path, capsys):
+        from repro.obs.flight import FlightRecorder
+
+        fr = FlightRecorder(dump_dir=str(tmp_path))
+        fr.instant("job.finish", cat="service", args={
+            "job": "j1", "state": "expired", "phases": {"queue": 0.002},
+        })
+        dump = fr.trigger("deadline_shed", args={"job": "j1"})
+        assert main(["summary", dump, "--strict"]) == 0
+        chrome = tmp_path / "flight.trace.json"
+        assert main(["convert", dump, str(chrome)]) == 0
+        assert "traceEvents" in json.loads(chrome.read_text())
+        capsys.readouterr()
+        reports = []
+        for path in (dump, str(chrome)):
+            assert main(["report", path, "--json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        from_dump, from_chrome = reports
+        assert from_dump["jobs"]["shed"] == 1
+        assert from_dump["triggers"] == {"deadline_shed": 1}
+        assert from_chrome["jobs"] == from_dump["jobs"]
+        assert from_chrome["triggers"] == from_dump["triggers"]
+
+    def test_chrome_export_of_a_tracer_reports_its_jobs(self, tmp_path, capsys):
+        tr = Tracer(enabled=True)
+        for job, state in (("j1", "done"), ("j2", "failed")):
+            tr.instant("job.finish", cat="service", args={
+                "job": job, "state": state, "phases": {"run": 0.01},
+            })
+        path = tr.export_chrome(tmp_path / "jobs.trace.json", manifest=False)
+        assert main(["report", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["source"] == "flight"
+        assert doc["jobs"]["finished"] == 2
+        assert doc["jobs"]["done"] == 1 and doc["jobs"]["failed"] == 1
+        assert [row["phase"] for row in doc["phases"]] == ["run"]
 
 
 class TestValidator:

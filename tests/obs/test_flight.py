@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import time
 import unittest
 
 from repro.obs.flight import (
@@ -12,8 +14,8 @@ from repro.obs.flight import (
     FlightRecorder,
     configure_flight,
     get_flight_recorder,
-    load_flight_dump,
 )
+from repro.obs.trace import load_trace
 
 import tempfile
 
@@ -21,8 +23,8 @@ import tempfile
 class TestFlightRing(unittest.TestCase):
     def test_record_and_snapshot(self):
         fr = FlightRecorder(capacity=8)
-        fr.record("a", args={"k": 1})
-        fr.record("b", cat="test", sim_t=0.5)
+        fr.instant("a", args={"k": 1})
+        fr.instant("b", cat="test", sim_t=0.5)
         events = fr.events()
         self.assertEqual([e["name"] for e in events], ["a", "b"])
         self.assertEqual(events[0]["args"], {"k": 1})
@@ -34,7 +36,7 @@ class TestFlightRing(unittest.TestCase):
     def test_bounded_overflow_counts_drops(self):
         fr = FlightRecorder(capacity=4)
         for k in range(10):
-            fr.record(f"e{k}")
+            fr.instant(f"e{k}")
         self.assertEqual(len(fr), 4)
         self.assertEqual(fr.dropped_events, 6)
         self.assertEqual([e["name"] for e in fr.events()],
@@ -42,17 +44,17 @@ class TestFlightRing(unittest.TestCase):
 
     def test_disabled_recorder_is_inert(self):
         fr = FlightRecorder(enabled=False)
-        fr.record("x")
+        fr.instant("x")
         self.assertEqual(len(fr), 0)
         self.assertIsNone(fr.trigger("manual"))
         self.assertFalse(NULL_RECORDER.enabled)
-        NULL_RECORDER.record("x")
+        NULL_RECORDER.instant("x")
         self.assertEqual(len(NULL_RECORDER), 0)
 
     def test_clear_resets(self):
         fr = FlightRecorder(capacity=2)
         for k in range(5):
-            fr.record(f"e{k}")
+            fr.instant(f"e{k}")
         fr.clear()
         self.assertEqual(len(fr), 0)
         self.assertEqual(fr.dropped_events, 0)
@@ -74,12 +76,12 @@ class TestTriggers(unittest.TestCase):
     def test_trigger_auto_dumps_with_manifest(self):
         with tempfile.TemporaryDirectory() as tmp:
             fr = FlightRecorder(dump_dir=tmp)
-            fr.record("job.finish", args={"job": "j1", "phases": {"run": 0.01}})
+            fr.instant("job.finish", args={"job": "j1", "phases": {"run": 0.01}})
             path = fr.trigger("worker_crash", args={"job": "j1"})
             self.assertIsNotNone(path)
             self.assertTrue(os.path.exists(path))
             self.assertIn("worker_crash", os.path.basename(path))
-            events = load_flight_dump(path)
+            events = load_trace(path)
             self.assertEqual(events[0]["name"], "job.finish")
             self.assertEqual(events[-1]["name"], "flight.trigger.worker_crash")
             with open(path + ".manifest.json") as fh:
@@ -123,21 +125,53 @@ class TestTriggers(unittest.TestCase):
     def test_explicit_dump(self):
         with tempfile.TemporaryDirectory() as tmp:
             fr = FlightRecorder()
-            fr.record("x")
+            fr.instant("x")
             path = fr.dump(os.path.join(tmp, "box.jsonl"))
-            self.assertEqual(load_flight_dump(path)[0]["name"], "x")
+            self.assertEqual(load_trace(path)[0]["name"], "x")
 
     def test_to_jsonl_roundtrip(self):
         fr = FlightRecorder()
-        fr.record("a", args={"n": 1})
-        fr.record("b")
+        fr.instant("a", args={"n": 1})
+        fr.instant("b")
         lines = fr.to_jsonl().strip().splitlines()
         self.assertEqual(len(lines), 2)
         self.assertEqual(json.loads(lines[0])["name"], "a")
 
+    def test_manifest_epoch_dates_every_event(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            created = time.time()
+            fr = FlightRecorder()
+            fr.instant("a")
+            fr.instant("b")
+            path = fr.dump(os.path.join(tmp, "box.jsonl"))
+            with open(path + ".manifest.json") as fh:
+                manifest = json.load(fh)
+            for ev in load_trace(path):
+                wall = manifest["epoch"] + ev["ts"]
+                self.assertLessEqual(created, wall)
+                self.assertLessEqual(wall, manifest["wall_time"])
+
+    def test_pickle_ships_configuration_with_an_empty_ring(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            fr = FlightRecorder(capacity=32, dump_dir=tmp, max_dumps=3,
+                                min_dump_interval_s=0.0)
+            fr.instant("a")
+            fr.trigger("manual")
+            clone = pickle.loads(pickle.dumps(fr))
+            self.assertEqual(
+                (clone.capacity, clone.enabled, clone.dump_dir,
+                 clone.max_dumps, clone.min_dump_interval_s),
+                (32, True, tmp, 3, 0.0),
+            )
+            self.assertEqual(len(clone), 0)
+            self.assertEqual(clone.trigger_counts, {})
+            self.assertEqual(clone.dumps, [])
+            self.assertIsNotNone(clone.trigger("manual"))  # usable
+            self.assertEqual(len(clone), 1)
+
     def test_stats_shape(self):
         fr = FlightRecorder(capacity=16)
-        fr.record("a")
+        fr.instant("a")
         fr.trigger("manual")
         stats = fr.stats()
         self.assertEqual(stats["capacity"], 16)

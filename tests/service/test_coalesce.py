@@ -64,7 +64,6 @@ def direct_run(request: MILRequest):
             dt=request.dt,
             t_final=request.t_final,
             solver=request.solver,
-            use_kernels=request.use_kernels,
             log_all_signals=request.log_all_signals,
         ),
     )
@@ -116,7 +115,6 @@ class TestCoalesceKey:
         assert coalesce_key(mil(dt=2e-3)) != base
         assert coalesce_key(mil(t_final=0.1)) != base
         assert coalesce_key(mil(solver="euler")) != base
-        assert coalesce_key(mil(use_kernels=False)) != base
         assert coalesce_key(mil(log_all_signals=True)) != base
 
     def test_retain_trace_does_not_split_batches(self):

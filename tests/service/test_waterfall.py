@@ -13,8 +13,9 @@ import os
 import tempfile
 import unittest
 
-from repro.obs.flight import FlightRecorder, load_flight_dump
+from repro.obs.flight import FlightRecorder
 from repro.obs.report import build_report, load_ops_input, render_html
+from repro.obs.trace import load_trace
 from repro.service import (
     CoalesceConfig,
     JobPriority,
@@ -126,7 +127,7 @@ class TestFlightIntegration(unittest.TestCase):
                 self.assertEqual(shed.state, JobState.EXPIRED)
             self.assertEqual(fr.trigger_counts.get("deadline_shed"), 1)
             self.assertEqual(len(fr.dumps), 1)
-            events = load_flight_dump(fr.dumps[0])
+            events = load_trace(fr.dumps[0])
             finishes = {e["args"]["job"]: e for e in events
                         if e["name"] == "job.finish"}
             shed_ev = finishes[shed.job_id]
@@ -154,7 +155,7 @@ class TestFlightIntegration(unittest.TestCase):
                 bad.wait(30.0)
                 self.assertEqual(bad.state, JobState.FAILED)
             self.assertEqual(fr.trigger_counts.get("job_exception"), 1)
-            events = load_flight_dump(fr.dumps[0])
+            events = load_trace(fr.dumps[0])
             finish = [e for e in events if e["name"] == "job.finish"][0]
             self.assertIn("builder exploded", finish["args"]["error"])
 
