@@ -499,6 +499,7 @@ class BatchSimulator:
                 form_cm = copy.copy(cm)
                 form_cm.nodes = {**cm.nodes,
                                  **{q: blk for q, (blk, _c) in blocks.items()}}
+                form_cm.lowering_memo = None  # the base's lowering, not the clones'
                 sim = Simulator(form_cm, self.options)
                 sim._start()
                 form = sim._native_artifact(mode, sim._plan_kernels(), lanes=B)

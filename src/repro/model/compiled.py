@@ -15,6 +15,7 @@ simulation or RTW build:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .block import Block, SampleTime
 from .diagnostics import (
@@ -69,10 +70,18 @@ class CompiledModel:
     #: memo of generated kernel-pass code objects keyed by source text.
     #: The generated source depends only on the compiled model (signal
     #: indices, divisors, schedule) — per-simulator state binds through
-    #: the exec namespace — so repeat ``Simulator.initialize`` calls on
-    #: one compiled model skip the ``compile()`` step.  This is what
-    #: makes a SimServe model-cache hit skip codegen as well as build.
+    #: the exec namespace — so repeat runs on the Python kernel path skip
+    #: the ``compile()`` step.  A run that binds native builds no passes;
+    #: what a repeat of it skips is in :attr:`lowering_memo`.
     codegen_cache: dict = field(default_factory=dict, repr=False)
+    #: solver -> the kernel plan and the lowered native program (or the
+    #: refusal), so a repeat ``Simulator.initialize`` plans and lowers
+    #: nothing.  Off (``None``) by default: a memoized lowering would
+    #: miss a block parameter set after compile.  Only a model whose
+    #: blocks no caller can reach turns it on — the private models
+    #: :class:`~repro.service.model_cache.ModelCache` rebuilds from a
+    #: content-addressed doc, where a changed parameter is a new entry.
+    lowering_memo: Optional[dict] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     @classmethod

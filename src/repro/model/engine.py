@@ -102,6 +102,18 @@ class SimulationOptions:
 NATIVE_AUTO_THRESHOLD = 100_000
 
 
+@dataclass
+class _Lowered:
+    """One solver's slot of ``CompiledModel.lowering_memo``: the kernel
+    plan (or its :class:`~repro.model.kernels.KernelPlanError`), then
+    the lowered native program's structure
+    (:meth:`~repro.native.NativeProgram.structure`) or the reason the
+    lowering was refused; ``None`` until first computed."""
+
+    plan: object = None
+    program: object = None
+
+
 class Simulator:
     """Runs one compiled model.  Create, then :meth:`run`.
 
@@ -175,12 +187,25 @@ class Simulator:
         # one kernel plan serves both executors; the native loop takes
         # over when it binds, else the Python passes are generated from it
         mode = self._native_mode()
+        memo = self._lowering_memo()
         plan = None
         if mode is not False or self.options.use_kernels:
-            plan = self._plan_kernels()
-        if not self._bind_native(mode, plan):
+            plan = self._plan_kernels(memo)
+        if not self._bind_native(mode, plan, memo):
             self._bind_fast_path(plan)
         self._initialized = True
+
+    def _lowering_memo(self) -> Optional[_Lowered]:
+        """This solver's slot of ``cm.lowering_memo``, or ``None`` when
+        the compiled model does not memoize its lowering.  The solver is
+        the key because the TU's integrator depends on it."""
+        memo = self.cm.lowering_memo
+        if memo is None:
+            return None
+        slot = memo.get(self.options.solver)
+        if slot is None:
+            slot = memo[self.options.solver] = _Lowered()
+        return slot
 
     def _start(self) -> None:
         """Start every block on a fresh context and build the reference
@@ -218,19 +243,25 @@ class Simulator:
             if isinstance(block, Scope):
                 self._scope_sched.append((qname, in_idx[0]))
 
-    def _plan_kernels(self):
+    def _plan_kernels(self, memo: Optional[_Lowered] = None):
         """The kernel plan against the blocks' current modes, or the
-        :class:`~repro.model.kernels.KernelPlanError` refusing it."""
+        :class:`~repro.model.kernels.KernelPlanError` refusing it (its
+        traceback dropped: a memo keeps it); planned once per ``memo``."""
+        if memo is not None and memo.plan is not None:
+            return memo.plan
         from .kernels import KernelPlanError, plan_kernels
 
         t0 = perf_counter()
         try:
             plan = plan_kernels(self.cm)
         except KernelPlanError as exc:
-            return exc
-        if self._tracer.enabled:
-            self._tracer.complete("engine.plan_kernels", "engine", t0,
-                                  args=dict(plan.stats))
+            plan = exc.with_traceback(None)
+        else:
+            if self._tracer.enabled:
+                self._tracer.complete("engine.plan_kernels", "engine", t0,
+                                      args=dict(plan.stats))
+        if memo is not None:
+            memo.plan = plan
         return plan
 
     def _bind_fast_path(self, plan) -> None:
@@ -241,9 +272,10 @@ class Simulator:
             self._kernel_fallback("kernel_disabled",
                                   "disabled by SimulationOptions")
             return
+        if isinstance(plan, KernelPlanError):  # never raised: a memo keeps it
+            self._kernel_fallback("kernel_plan_refused", str(plan))
+            return
         try:
-            if isinstance(plan, KernelPlanError):
-                raise plan
             fp = FastPath(self, plan)
         except KernelPlanError as exc:
             self._kernel_fallback("kernel_plan_refused", str(exc))
@@ -300,13 +332,13 @@ class Simulator:
             return "auto"
         return self.options.native
 
-    def _bind_native(self, mode, plan) -> bool:
+    def _bind_native(self, mode, plan, memo: Optional[_Lowered] = None) -> bool:
         """Take over the step loop with the native artifact for ``plan``
         (see :meth:`_native_artifact`), or record why not and leave the
         Python paths to :meth:`_bind_fast_path`."""
         from ..native import NativePath
 
-        artifact = self._native_artifact(mode, plan)
+        artifact = self._native_artifact(mode, plan, memo=memo)
         if artifact is None:
             return False
         program, so_path = artifact
@@ -324,13 +356,15 @@ class Simulator:
         self.native_path = native
         return True
 
-    def _native_artifact(self, mode, plan, lanes: int = 1):
-        """Lower ``plan`` to C and compile it (or reuse the disk cache):
-        ``(program, so_path)``, or ``None`` after recording why not.  The
-        fallback ladder: disabled -> plan_refused -> toolchain_missing ->
-        compile_pending (a ``"reuse"`` bind, or a short ``"auto"`` one)
-        -> compile_error.  ``"auto"`` counts the block-steps of ``lanes``
-        runs of this length (an ensemble's lanes share one artifact)."""
+    def _native_artifact(self, mode, plan, lanes: int = 1,
+                         memo: Optional[_Lowered] = None):
+        """Lower ``plan`` to C (:meth:`_lower`) and compile it (or reuse
+        the disk cache): ``(program, so_path)``, or ``None`` after
+        recording why not.  The fallback ladder: disabled -> plan_refused
+        -> toolchain_missing -> compile_pending (a ``"reuse"`` bind, or a
+        short ``"auto"`` one) -> compile_error.  ``"auto"`` counts the
+        block-steps of ``lanes`` runs of this length (an ensemble's lanes
+        share one artifact)."""
         if mode is False:
             self._native_fallback("disabled")
             return None
@@ -340,21 +374,15 @@ class Simulator:
             if block_steps < NATIVE_AUTO_THRESHOLD:
                 mode = "reuse"
         from ..native import (
-            NativeLoweringError,
             ToolchainError,
             ensure_compiled,
             find_cc,
-            generate_program,
             reuse_compiled,
         )
-        from .kernels import KernelPlanError
 
-        try:
-            if isinstance(plan, KernelPlanError):
-                raise plan
-            program = generate_program(self, plan)
-        except (KernelPlanError, NativeLoweringError) as exc:
-            self._native_fallback("plan_refused", str(exc))
+        program = self._lower(plan, memo)
+        if isinstance(program, str):
+            self._native_fallback("plan_refused", program)
             return None
         if find_cc() is None:
             self._native_fallback("toolchain_missing",
@@ -372,6 +400,32 @@ class Simulator:
             self._native_fallback("compile_error", str(exc))
             return None
         return program, so_path
+
+    def _lower(self, plan, memo: Optional[_Lowered] = None):
+        """``plan`` lowered to a native program bound to this run, or the
+        reason the lowering was refused.  With a ``memo`` the model is
+        lowered (``repro.native.generate_program``) at most once: later
+        binds reuse its structure, or its refusal, and derive only the
+        per-run part (:meth:`~repro.native.NativeProgram.for_run`)."""
+        from ..native import NativeLoweringError, generate_program
+        from .kernels import KernelPlanError
+
+        kept = memo.program if memo is not None else None
+        if isinstance(kept, str):
+            return kept
+        try:
+            if kept is not None:
+                return kept.for_run(self)
+            if isinstance(plan, KernelPlanError):
+                program = str(plan)
+            else:
+                program = generate_program(self, plan)
+        except NativeLoweringError as exc:
+            program = str(exc)
+        if memo is not None and kept is None:
+            memo.program = (program if isinstance(program, str)
+                            else program.structure())
+        return program
 
     def _make_fire(self, qname: str) -> Callable[[int], None]:
         # events are queued and dispatched right after the firing block's

@@ -8,8 +8,12 @@ parameters travel in the context (``P``, see :mod:`repro.native.emit`),
 so the TU sha already is the model's structural identity, and every
 design point of one diagram shares one artifact.  SimServe warm jobs,
 new design points and process-pool children therefore ``dlopen`` an
-existing ``.so`` instead of recompiling: the TU is still regenerated
-in-process (cheap, deterministic) and only the compile step is skipped.
+existing ``.so`` instead of recompiling.  The lookup hashes the TU text
+on every bind.  The text itself is regenerated in-process (cheap,
+deterministic) for every new compiled model, and kept across runs by
+one that memoizes its lowering (SimServe's cached models, see
+``CompiledModel.lowering_memo``), so a warm SimServe job renders
+nothing.
 
 Layout under the cache dir (``$REPRO_NATIVE_CACHE`` or
 ``~/.cache/repro-native``): ``<key>.c``, ``<key>.so``, ``<key>.json``

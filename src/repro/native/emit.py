@@ -35,6 +35,13 @@ artifact serves them all.  The text is deterministic (no timestamps,
 stable iteration orders), so it doubles as the compile-cache key
 material and as golden-test content.
 
+A program is its structure — the TU text, sizes, scope rows, the ``P``
+vector and its owners, the ``DW`` layout — plus a per-run part: the
+``DW`` init vector read from the run's started contexts and the held
+buffers its blocks own (:meth:`NativeProgram.for_run`), derived on
+every bind.  A compiled model's lowering memo keeps the structure alone
+(:meth:`NativeProgram.structure`) and lowers nothing on a repeat run.
+
 Emission is per block (:class:`Lowering`): the program keeps, for each
 block, the text it rendered at each of its sites, so
 :meth:`NativeProgram.relower` can re-emit a handful of blocks alone —
@@ -305,15 +312,52 @@ class NativeProgram:
     n_states: int
     n_dwork: int
     scope_sigs: list[int]
-    dwork_init: list[float]
+    #: the ``DW`` init vector of one run (see :meth:`for_run`)
+    dwork_init: list[float] = field(default_factory=list)
     #: the values the TU reads as ``P[k]``
     params: list[float] = field(default_factory=list)
     #: the qname that emitted each ``P`` slot
     param_owners: list[str] = field(default_factory=list)
-    #: block-owned float64 buffers the context borrows as ``H[k]``
+    #: the block-owned float64 buffers one run's context borrows as
+    #: ``H[k]`` (see :meth:`for_run`)
     held: list = field(default_factory=list)
+    #: qname -> :class:`_Rec` of every template-lowered block, in
+    #: emission order (what :meth:`for_run` reads)
+    recs: dict = field(default_factory=dict, repr=False)
     #: per-block emission record (see :meth:`relower`)
     lowering: Optional[Lowering] = field(default=None, repr=False)
+
+    def for_run(self, sim) -> "NativeProgram":
+        """This program bound to ``sim``'s run: the discrete-work init
+        vector read from its started contexts and the held-output
+        buffers its blocks own.  The per-run part of every lowering, so
+        a program kept across runs (:meth:`structure`) binds the same way
+        a fresh one does."""
+        cm = sim.cm
+        dwork_init: list[float] = []
+        held: list = []
+        for qname, rec in self.recs.items():
+            block = cm.nodes[qname]
+            vals = rec.tpl.dwork_init(block, sim._ctxs[qname])
+            if len(vals) != rec.n_dw:
+                raise NativeLoweringError(
+                    f"dwork init size mismatch for '{qname}': "
+                    f"{len(vals)} != {rec.n_dw}"
+                )
+            dwork_init.extend(vals)
+            if rec.held is not None:
+                buf = _held_buffer(qname, rec.tpl, block)
+                if buf is None or buf.size != rec.held[1]:
+                    raise NativeLoweringError(
+                        f"held buffer of '{qname}' changed since lowering"
+                    )
+                held.append(buf)
+        return dataclasses.replace(self, dwork_init=dwork_init, held=held)
+
+    def structure(self) -> "NativeProgram":
+        """This program without its per-run part (:meth:`for_run`) or
+        its per-site text (:meth:`relower`): what a lowering memo keeps."""
+        return dataclasses.replace(self, dwork_init=[], held=[], lowering=None)
 
     def listing(self) -> str:
         """The TU followed by its parameter vector as a C comment — every
@@ -342,7 +386,7 @@ class NativeProgram:
             values, dw = got
             if own:
                 params[own] = values
-            rec = low.recs.get(qname)
+            rec = self.recs.get(qname)
             if rec is not None and rec.n_dw:
                 dwork[rec.dw0 : rec.dw0 + rec.n_dw] = dw
         return params, dwork
@@ -368,8 +412,22 @@ def _guarded(div: int, lines: list[str]) -> list[str]:
             + ["  }"])
 
 
+def _held_buffer(qname: str, tpl, block):
+    """The block's held-output buffer (``tpl.held``), or ``None``."""
+    buf = tpl.held(block)
+    if buf is not None and not (
+            isinstance(buf, np.ndarray) and buf.dtype == np.float64
+            and buf.ndim == 1 and buf.flags.c_contiguous):
+        raise NativeLoweringError(
+            f"held buffer of '{qname}' must be a contiguous 1-D "
+            "float64 ndarray"
+        )
+    return buf
+
+
 def generate_program(sim, plan: KernelPlan) -> NativeProgram:
-    """Lower ``sim`` (initialized) under ``plan`` to a C TU, or raise
+    """Lower ``sim`` (initialized) under ``plan`` to a C TU bound to its
+    run (:meth:`NativeProgram.for_run`), or raise
     :class:`NativeLoweringError` with the first refusal reason."""
     from .templates import ensure_installed
 
@@ -386,8 +444,7 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
     # ---- per-block validation + discrete-state layout --------------------
     recs: dict[str, _Rec] = {}
     n_dwork = 0
-    dwork_init: list[float] = []
-    held: list = []
+    n_held = 0
     for entry in plan.entries:
         if isinstance(entry, AffineRun):
             continue
@@ -407,26 +464,13 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         for fld, n in layout:
             offs[fld] = n_dwork + want
             want += n
-        vals = tpl.dwork_init(block, sim._ctxs[qname])
-        if len(vals) != want:
-            raise NativeLoweringError(
-                f"dwork init size mismatch for '{qname}': "
-                f"{len(vals)} != {want}"
-            )
-        buf = tpl.held(block)
+        buf = _held_buffer(qname, tpl, block)
         slot = None
         if buf is not None:
-            if not (isinstance(buf, np.ndarray) and buf.dtype == np.float64
-                    and buf.ndim == 1 and buf.flags.c_contiguous):
-                raise NativeLoweringError(
-                    f"held buffer of '{qname}' must be a contiguous 1-D "
-                    "float64 ndarray"
-                )
-            slot = (len(held), buf.size)
-            held.append(buf)
+            slot = (n_held, buf.size)
+            n_held += 1
         recs[qname] = _Rec(tpl, layout, offs, n_dwork, want, slot)
         n_dwork += want
-        dwork_init.extend(vals)
 
     low = Lowering(cm, plan, recs)
     tu = _TU()
@@ -476,7 +520,7 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         sim=sim,
         n_params=len(tu.params),
         n_dwork=n_dwork,
-        n_held=len(held),
+        n_held=n_held,
         scope_sigs=scope_sigs,
         out_lines=out_lines,
         minor_lines=minor_lines,
@@ -489,12 +533,11 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         n_states=cm.n_states,
         n_dwork=n_dwork,
         scope_sigs=scope_sigs,
-        dwork_init=dwork_init,
         params=tu.params,
         param_owners=tu.owners,
-        held=held,
+        recs=recs,
         lowering=low,
-    )
+    ).for_run(sim)
 
 
 def _render(cm, sim, n_params, n_dwork, n_held, scope_sigs, out_lines,

@@ -119,13 +119,15 @@ def _cmd_report(ns: argparse.Namespace) -> int:
     from .report import build_report, load_ops_input, render_html, render_text
 
     report = build_report(load_ops_input(ns.input))
+    # the file first: a closed stdout (``| head``) must not lose it
+    if ns.output:
+        with open(ns.output, "w") as fh:
+            fh.write(render_html(report))
     if ns.json:
         print(json.dumps(report, indent=2, default=str))
     else:
         print(render_text(report))
     if ns.output:
-        with open(ns.output, "w") as fh:
-            fh.write(render_html(report))
         print(f"wrote report -> {ns.output}")
     return 0
 

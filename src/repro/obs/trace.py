@@ -62,6 +62,9 @@ DEFAULT_STEP_STRIDE = 100
 #: ring-buffer capacity (events); overflow keeps the newest events
 DEFAULT_CAPACITY = 1 << 16
 
+#: name of the one-time instant a ring appends when it first wraps
+_OVERFLOW = "obs.ring_overflow"
+
 
 class Span:
     """An open span handle; mutate :attr:`args` freely before the end."""
@@ -128,30 +131,34 @@ class Tracer:
     # emission
     # ------------------------------------------------------------------
     def _emit(self, event: dict) -> None:
-        buf = self._buf
         with self._lock:
-            if len(buf) == self.capacity:
-                self.dropped_events += 1
-                if not self._overflow_noted:
-                    # one-time marker so an exported trace says *that* it
-                    # wrapped, not just how much was lost; the marker's own
-                    # append is bookkeeping, not a caller event, so it does
-                    # not count toward dropped_events
-                    self._overflow_noted = True
-                    buf.append({
-                        "ph": "i",
-                        "name": "obs.ring_overflow",
-                        "cat": "obs",
-                        "ts": time.perf_counter() - self._t0,
-                        "dur": 0.0,
-                        "sim_t": None,
-                        "id": None,
-                        "parent": None,
-                        "pid": self.pid,
-                        "tid": threading.get_ident(),
-                        "args": {"capacity": self.capacity},
-                    })
-            buf.append(event)
+            if len(self._buf) == self.capacity and not self._overflow_noted:
+                # one-time marker so an exported trace says *that* it
+                # wrapped, not just how much was lost
+                self._overflow_noted = True
+                self._append({
+                    "ph": "i",
+                    "name": _OVERFLOW,
+                    "cat": "obs",
+                    "ts": time.perf_counter() - self._t0,
+                    "dur": 0.0,
+                    "sim_t": None,
+                    "id": None,
+                    "parent": None,
+                    "pid": self.pid,
+                    "tid": threading.get_ident(),
+                    "args": {"capacity": self.capacity},
+                })
+            self._append(event)
+
+    def _append(self, event: dict) -> None:
+        """Append under the lock.  ``dropped_events`` counts the caller
+        events the ring evicts (the marker's own append evicts one too),
+        never an evicted overflow marker: it is bookkeeping."""
+        buf = self._buf
+        if len(buf) == self.capacity and buf[0].get("name") != _OVERFLOW:
+            self.dropped_events += 1
+        buf.append(event)
 
     def _stack(self) -> list:
         stack = getattr(self._tls, "stack", None)

@@ -128,6 +128,7 @@ class ModelCache:
                 # private rebuild: cached blocks are never aliased with
                 # the caller's (or any other entry's) block instances
                 entry.cm = CompiledModel.build(model_from_dict(entry.doc), dt)
+                entry.cm.lowering_memo = {}  # sound: nobody else holds these blocks
                 hit = False
                 with self._lock:
                     self.misses += 1

@@ -125,6 +125,25 @@ class TestServeAndReport:
         assert doc["source"] == "flight"
         assert doc["triggers"].get("deadline_shed") == 1
 
+    def test_report_file_survives_a_closed_stdout(self, tmp_path, monkeypatch):
+        import sys
+
+        from repro.obs.flight import FlightRecorder
+
+        class ClosedPipe:
+            def write(self, _text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        dump = FlightRecorder(dump_dir=str(tmp_path)).trigger("deadline_shed")
+        html = tmp_path / "report.html"
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["report", dump, "-o", str(html)])
+        assert "Phase waterfall" in html.read_text()
+
     def test_one_event_flight_dump_reports_as_flight(self, tmp_path, capsys):
         from repro.obs.flight import FlightRecorder
 

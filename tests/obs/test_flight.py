@@ -42,6 +42,20 @@ class TestFlightRing(unittest.TestCase):
         self.assertEqual([e["name"] for e in fr.events()],
                          ["e6", "e7", "e8", "e9"])
 
+    def test_first_wrap_counts_both_lost_events_in_the_dump(self):
+        fr = FlightRecorder(capacity=4)
+        for k in range(5):
+            fr.instant(f"e{k}")
+        self.assertEqual([e["name"] for e in fr.events()],
+                         ["e2", "e3", "obs.ring_overflow", "e4"])
+        self.assertEqual(fr.dropped_events, 2)  # e0 and e1
+        with tempfile.TemporaryDirectory() as tmp:
+            path = fr.dump(os.path.join(tmp, "box.jsonl"))
+            with open(path + ".manifest.json") as fh:
+                manifest = json.load(fh)
+        self.assertEqual(manifest["dropped_events"], 2)
+        self.assertEqual(manifest["events"], 4)
+
     def test_disabled_recorder_is_inert(self):
         fr = FlightRecorder(enabled=False)
         fr.instant("x")

@@ -33,6 +33,20 @@ class TestRingBuffer:
         assert tr.dropped_events == 6
         assert [e["name"] for e in tr.events()] == ["ev-6", "ev-7", "ev-8", "ev-9"]
 
+    def test_first_wrap_counts_the_event_its_marker_evicts(self):
+        # the overflow marker's own append evicts ev-0, the fifth event
+        # evicts ev-1: two caller events lost, the marker not counted
+        tr = Tracer(capacity=4, enabled=True)
+        for k in range(5):
+            tr.instant(f"ev-{k}")
+        assert [e["name"] for e in tr.events()] == [
+            "ev-2", "ev-3", "obs.ring_overflow", "ev-4"]
+        assert tr.dropped_events == 2
+        for k in range(5, 8):  # ...and evicting the marker drops nothing
+            tr.instant(f"ev-{k}")
+        assert [e["name"] for e in tr.events()] == ["ev-4", "ev-5", "ev-6", "ev-7"]
+        assert tr.dropped_events == 4
+
     def test_clear_resets_drop_counter(self):
         tr = Tracer(capacity=2, enabled=True)
         for k in range(5):

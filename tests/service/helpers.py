@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.model import Model, SimulationResult
-from repro.model.library import Constant, Gain, Integrator, Scope, Sum
+from repro.model.library import Constant, Gain, Integrator, Scope, Sum, WhiteNoise
 
 
 def build_loop_model(gain: float = 2.0, setpoint: float = 1.0) -> Model:
@@ -29,6 +29,18 @@ def build_loop_model(gain: float = 2.0, setpoint: float = 1.0) -> Model:
     m.connect(err, ctrl)
     m.connect(ctrl, plant)
     m.connect(plant, scope)
+    return m
+
+
+def build_noise_model(seed: int = 3) -> Model:
+    """Seeded noise -> gain -> scope: cacheable, but native lowering
+    refuses it (``WhiteNoise`` draws its samples in ``outputs``)."""
+    m = Model("noise")
+    noise = m.add(WhiteNoise("n", std=0.5, seed=seed))
+    gain = m.add(Gain("g", gain=2.0))
+    scope = m.add(Scope("y", label="y"))
+    m.connect(noise, gain)
+    m.connect(gain, scope)
     return m
 
 
