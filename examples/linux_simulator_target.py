@@ -10,11 +10,13 @@ This example demonstrates:
  1. the xPC target refusing an SPI link (the closed-platform limitation),
  2. the same PIL run on the Linux target over RS-232 and over SPI,
  3. the sensor-staleness gain the faster link buys,
- 4. saving the validated model as its own documentation (a model file).
+ 4. saving the validated model as its own documentation (a model file)
+    and rebuilding the same target code from it.
 
 Run:  python examples/linux_simulator_target.py
 """
 
+import os
 import tempfile
 
 from repro.casestudy import ServoConfig, build_servo_model
@@ -57,13 +59,17 @@ def main() -> None:
 
     # 4. the model is the documentation: persist and reload it
     servo = build_servo_model(ServoConfig(setpoint=100.0))
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as f:
-        path = f.name
-    save_model(servo.model, path)
-    reloaded = load_model(path)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "servo.json")
+        save_model(servo.model, path)
+        reloaded = load_model(path)
     app = PEERTTarget(reloaded).build()
+    same = app.artifacts.files == PEERTTarget(servo.model).build().artifacts.files
     print(f"\nmodel file round-trip: {len(reloaded.blocks)} top-level blocks, "
-          f"rebuilds to {app.artifacts.loc} lines of C on {app.project.chip.name}")
+          f"rebuilds to {app.artifacts.loc} lines of C on {app.project.chip.name}, "
+          f"{'identical to' if same else 'DIFFERENT from'} the original build")
+    if not same:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

@@ -202,29 +202,8 @@ class CompiledModel:
                 hook(self.dt)
 
     # ------------------------------------------------------------------
-    # rate queries shared by the executors
+    # rate queries
     # ------------------------------------------------------------------
-    def is_hit(self, qname: str, step: int) -> bool:
-        """Whether ``qname`` has a sample hit at major step ``step``.
-
-        The single source of truth for rate hits — the simulator and the
-        kernel planner defer to it; the atomic executor applies the same
-        rule to the divisors it resolves once in ``start()``.
-        """
-        k = self.divisors[qname]
-        return k == 0 or step % k == 0
-
-    # ------------------------------------------------------------------
-    # queries used by the code generator
-    # ------------------------------------------------------------------
-    def periodic_blocks(self) -> list[str]:
-        """Blocks executed in the periodic rate-monotonic step, in order."""
-        return [q for q in self.order if not getattr(self.nodes[q], "triggerable", False)]
-
-    def triggered_blocks(self) -> list[str]:
-        """Function-call (event-driven) blocks."""
-        return [q for q in self.order if getattr(self.nodes[q], "triggerable", False)]
-
     def fundamental_rate(self) -> float:
         """The slowest common step of every discrete block (the timer rate)."""
         ks = [k for k in self.divisors.values() if k > 0]

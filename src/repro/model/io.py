@@ -4,14 +4,26 @@ Paper section 2: after each validation phase "the results of each
 experiment are used to continuous improvement of the Simulink model that
 remains still the actual documentation."  For the model to *be* the
 documentation it must be storable and re-loadable; this module provides a
-JSON document format for diagrams.
+JSON document format for diagrams, and it alone decides what a diagram's
+content is.
 
-Blocks serialise through a parameter-extraction registry: most classes
-round-trip automatically from their constructor signature (parameters are
-stored as same-named attributes), awkward ones register an explicit
-extractor, and blocks holding Python callables (charts, custom
-S-functions) are rejected with a clear message — like any tool file
-format, only declarative content persists.
+Blocks serialise through one codec table: one entry per block class,
+holding how to extract its parameters and how to load it back.  Most
+classes round-trip automatically from their constructor signature
+(parameters are stored as same-named attributes); awkward ones register
+an explicit ``extract`` and/or ``load``; blocks holding Python callables
+(charts, custom S-functions) are rejected with a clear message — like any
+tool file format, only declarative content persists.
+
+:func:`model_to_dict` writes the *canonical* document: blocks sorted by
+name and data connections sorted element-wise — neither order can
+influence execution (the compiler re-sorts blocks deterministically by
+data dependency + name, and input maps are keyed by port).
+Event-connection order is **kept**: multiple function-call targets on one
+port dispatch in wiring order, so reordering would change ISR execution
+order.  Subsystem interiors are written by the same function, so they
+are canonical too.  Saved files are therefore diff-stable, and the
+document is the diagram's content address (:func:`model_content_hash`).
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ import functools
 import hashlib
 import inspect
 import json
-from typing import Any, Callable, Optional, Type
+from typing import Any, Callable, NamedTuple, Optional, Type
 
 import numpy as np
 
@@ -30,20 +42,31 @@ from .graph import Model
 
 FORMAT_VERSION = 1
 
-#: class -> explicit parameter extractor (block -> kwargs dict)
-_EXTRACTORS: dict[Type[Block], Callable[[Block], dict]] = {}
-#: class-name -> class, for loading
-_CLASSES: dict[str, Type[Block]] = {}
+
+class _Codec(NamedTuple):
+    cls: Type[Block]
+    #: block -> parameter dict
+    extract: Callable[[Block], dict]
+    #: (name, **params) -> block
+    load: Callable[..., Block]
+
+
+#: document node "type" -> codec
+_CODECS: dict[str, _Codec] = {}
 
 
 def register_block_class(
     cls: Type[Block],
-    extractor: Optional[Callable[[Block], dict]] = None,
+    extract: Optional[Callable[[Block], dict]] = None,
+    load: Optional[Callable[..., Block]] = None,
 ) -> None:
-    """Make a block class (de)serialisable."""
-    _CLASSES[cls.__name__] = cls
-    if extractor is not None:
-        _EXTRACTORS[cls] = extractor
+    """Make a block class (de)serialisable.
+
+    ``extract(block)`` returns the node's parameters (default: the
+    constructor keywords, read back off same-named attributes);
+    ``load(name, **params)`` rebuilds the block (default: ``cls``).
+    """
+    _CODECS[cls.__name__] = _Codec(cls, extract or _default_extract, load or cls)
 
 
 @functools.cache
@@ -89,44 +112,54 @@ def _jsonify(value: Any) -> Any:
     raise ModelError(f"cannot serialise parameter value of type {type(value).__name__}")
 
 
+def _codec(type_name: str) -> Optional[_Codec]:
+    _register_domain()
+    return _CODECS.get(type_name)
+
+
 def block_to_dict(block: Block) -> dict:
     """One block -> document node."""
-    _ensure_domain_registered()
     cls = type(block)
-    if cls.__name__ not in _CLASSES:
+    codec = _codec(cls.__name__)
+    if codec is None or codec.cls is not cls:
         raise ModelError(
             f"block type {cls.__name__} is not registered for serialisation"
         )
-    extract = _EXTRACTORS.get(cls, _default_extract)
     return {
         "type": cls.__name__,
         "name": block.name,
-        "params": _jsonify(extract(block)),
+        "params": _jsonify(codec.extract(block)),
     }
 
 
 def block_from_dict(node: dict) -> Block:
-    cls = _CLASSES.get(node["type"])
-    if cls is None:
+    """One document node -> block."""
+    codec = _codec(node["type"])
+    if codec is None:
         raise ModelError(f"unknown block type '{node['type']}' in model file")
-    return cls(node["name"], **node["params"])
+    try:
+        return codec.load(node["name"], **node["params"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ModelError(
+            f"malformed {node['type']} node '{node.get('name')}' in model file: {e}"
+        ) from e
 
 
 def model_to_dict(model: Model) -> dict:
-    """Whole diagram -> document."""
+    """Whole diagram -> its canonical document (see the module docstring)."""
     return {
         "format": FORMAT_VERSION,
         "name": model.name,
-        "blocks": [block_to_dict(b) for b in model.blocks.values()],
-        "connections": [
+        "blocks": [block_to_dict(model.blocks[name]) for name in sorted(model.blocks)],
+        "connections": sorted(
             [c.src, c.src_port, c.dst, c.dst_port] for c in model.connections
-        ],
+        ),
         "events": [[e.src, e.event_port, e.dst] for e in model.event_connections],
     }
 
 
 def model_from_dict(doc: dict) -> Model:
-    _ensure_domain_registered()
+    """Document -> diagram; blocks and data connections may come in any order."""
     if doc.get("format") != FORMAT_VERSION:
         raise ModelError(
             f"unsupported model file format {doc.get('format')!r} "
@@ -157,32 +190,22 @@ def load_model(path: str) -> Model:
 # ---------------------------------------------------------------------------
 # content hashing
 # ---------------------------------------------------------------------------
-def canonical_model_doc(model_or_doc) -> dict:
-    """The model document in canonical form for hashing and rebuilding.
+def doc_content_hash(
+    doc: dict,
+    dt: Optional[float] = None,
+    solver: Optional[str] = None,
+) -> str:
+    """SHA-256 hex digest of a document written by :func:`model_to_dict`
+    (plus dt/solver if given).
 
-    Blocks are sorted by name and data connections sorted element-wise —
-    neither order can influence execution (the compiler re-sorts blocks
-    deterministically by data dependency + name, and input maps are keyed
-    by port).  Event-connection order is **kept**: multiple function-call
-    targets on one port dispatch in wiring order, so reordering would
-    change ISR execution order and the hash must distinguish it.
-    Subsystem interiors are canonicalised recursively.
+    Deterministic across processes and interpreter runs: the payload is
+    the canonical document as sorted-key JSON, which contains only
+    declarative parameter values — no object ids, no ``repr`` of live
+    instances, no dict iteration order.
     """
-    doc = model_or_doc if isinstance(model_or_doc, dict) else model_to_dict(model_or_doc)
-    blocks = []
-    for node in sorted(doc["blocks"], key=lambda n: n["name"]):
-        params = node["params"]
-        if "inner" in params and isinstance(params["inner"], dict):
-            params = dict(params)
-            params["inner"] = canonical_model_doc(params["inner"])
-        blocks.append({"type": node["type"], "name": node["name"], "params": params})
-    return {
-        "format": doc["format"],
-        "name": doc["name"],
-        "blocks": blocks,
-        "connections": sorted(doc["connections"]),
-        "events": list(doc["events"]),
-    }
+    payload = {"doc": doc, "dt": dt, "solver": solver}
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def model_content_hash(
@@ -190,22 +213,11 @@ def model_content_hash(
     dt: Optional[float] = None,
     solver: Optional[str] = None,
 ) -> str:
-    """SHA-256 hex digest of the diagram content (plus dt/solver if given).
-
-    Deterministic across processes and interpreter runs: the payload is
-    the canonical JSON document (sorted keys, sorted blocks/connections),
-    which contains only declarative parameter values — no object ids, no
-    ``repr`` of live instances, no dict iteration order.  Raises
-    :class:`~repro.model.diagnostics.ModelError` for diagrams that hold
-    Python callables (those cannot be content-addressed).
-    """
-    payload = {
-        "doc": canonical_model_doc(model),
-        "dt": dt,
-        "solver": solver,
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """The diagram's content address: :func:`doc_content_hash` of its
+    document.  Raises :class:`~repro.model.diagnostics.ModelError` for
+    diagrams that hold Python callables (those cannot be
+    content-addressed)."""
+    return doc_content_hash(model_to_dict(model), dt, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +234,7 @@ def _register_standard() -> None:
         lib.DiscreteIntegrator, lib.DiscreteDerivative, lib.Integrator,
         lib.Saturation, lib.Relay, lib.RateLimiter, lib.Quantizer,
         lib.Coulomb, lib.Switch, lib.ManualSwitch, lib.Inport, lib.Outport,
-        lib.TransportDelay, lib.Backlash, lib.EdgeDetector,
+        lib.TransportDelay, lib.Backlash, lib.EdgeDetector, lib.TransferFunction,
     ]
     for cls in auto:
         register_block_class(cls)
@@ -249,45 +261,32 @@ def _register_standard() -> None:
         lib.StateSpace,
         lambda b: {"A": b.A, "B": b.B, "C": b.C, "D": b.D, "x0": b.x0},
     )
-    register_block_class(
-        lib.TransferFunction,
-        lambda b: {"A": b.A, "B": b.B, "C": b.C, "D": b.D, "x0": b.x0},
-    )
-    # TransferFunction(name, num, den) signature differs from StateSpace
-    # payload, so it loads as a StateSpace-compatible node:
-    _CLASSES["TransferFunction"] = lib.StateSpace
 
-    def _sub_extract(b: lib.Subsystem) -> dict:
-        return {"inner": model_to_dict(b.inner)}
+    def subsystem(cls) -> None:
+        register_block_class(
+            cls,
+            lambda b: {"inner": model_to_dict(b.inner)},
+            lambda name, inner: cls(name, inner=model_from_dict(inner)),
+        )
 
-    def _register_subsystem(cls) -> None:
-        _CLASSES[cls.__name__] = cls
-        _EXTRACTORS[cls] = _sub_extract
-
-    _register_subsystem(lib.Subsystem)
-    _register_subsystem(lib.FunctionCallSubsystem)
+    subsystem(lib.Subsystem)
+    subsystem(lib.FunctionCallSubsystem)
 
 
 _register_standard()
 
 
-# subsystem nodes need recursive handling in block_from_dict: shadow it
-def block_from_dict(node: dict) -> Block:  # type: ignore[no-redef]
-    from .library.subsystems import FunctionCallSubsystem, Subsystem
-
-    cls = _CLASSES.get(node["type"])
-    if cls is None:
-        raise ModelError(f"unknown block type '{node['type']}' in model file")
-    if issubclass(cls, (Subsystem, FunctionCallSubsystem)):
-        inner = model_from_dict(node["params"]["inner"])
-        return cls(node["name"], inner=inner)
-    return cls(node["name"], **node["params"])
-
-
 # ---------------------------------------------------------------------------
-# registrations: PE block set and control blocks
+# registrations: PE block set, control and plant blocks
 # ---------------------------------------------------------------------------
+@functools.cache
 def _register_domain() -> None:
+    """Register the PE/control/plant block classes on first use.
+
+    Deferred (not at import time) because the domain packages themselves
+    import :mod:`repro.model` — eager registration would make the import
+    graph order-dependent.
+    """
     from repro.core import blocks as cb
     from repro.control import (
         FixedPointPID,
@@ -321,19 +320,27 @@ def _register_domain() -> None:
     register_block_class(cb.PWMBlock, _bean_extract())
     register_block_class(cb.QuadDecBlock, _bean_extract())
     register_block_class(cb.BitIOBlock, _bean_extract())
-
     register_block_class(cb.TimerIntBlock, _bean_extract())
 
-    def _pid_extract(b) -> dict:
-        g = b.gains
-        return {
-            "gains": {"kp": g.kp, "ki": g.ki, "kd": g.kd,
-                      "u_min": g.u_min, "u_max": g.u_max},
-            "sample_time": b.sample_time,
-        }
+    # gains dicts <-> PIDGains
+    def pid(cls, extra: Callable[[Block], dict] = lambda b: {}) -> None:
+        def extract(b) -> dict:
+            g = b.gains
+            return {
+                "gains": {"kp": g.kp, "ki": g.ki, "kd": g.kd,
+                          "u_min": g.u_min, "u_max": g.u_max},
+                "sample_time": b.sample_time,
+                **extra(b),
+            }
 
-    _CLASSES["PIDController"] = PIDController
-    _EXTRACTORS[PIDController] = _pid_extract
+        register_block_class(
+            cls,
+            extract,
+            lambda name, gains, **params: cls(name, PIDGains(**gains), **params),
+        )
+
+    pid(PIDController)
+    pid(FixedPointPID, lambda b: {"e_scale": b.e_scale})
     register_block_class(LowPassFilter, lambda b: {
         "cutoff_hz": b.cutoff_hz, "sample_time": b.sample_time,
     })
@@ -342,19 +349,7 @@ def _register_domain() -> None:
         "counts_per_rev": b.counts_per_rev, "sample_time": b.sample_time,
     })
 
-    def _fx_pid_extract(b: FixedPointPID) -> dict:
-        g = b.gains
-        return {
-            "gains": {"kp": g.kp, "ki": g.ki, "kd": g.kd,
-                      "u_min": g.u_min, "u_max": g.u_max},
-            "sample_time": b.sample_time,
-            "e_scale": b.e_scale,
-        }
-
-    _CLASSES["FixedPointPID"] = FixedPointPID
-    _EXTRACTORS[FixedPointPID] = _fx_pid_extract
-
-    # plant blocks -------------------------------------------------------
+    # plant blocks: params dicts <-> MotorParams
     from repro.plants import DCMotor, IRCEncoder, PowerStage
     from repro.plants.dc_motor import MotorParams
 
@@ -371,41 +366,8 @@ def _register_domain() -> None:
             "initial_speed": b.initial_speed,
         }
 
-    _CLASSES["DCMotor"] = DCMotor
-    _EXTRACTORS[DCMotor] = _motor_extract
-
-    # loader shims: gains dicts -> PIDGains, params dicts -> MotorParams
-    _gains_classes = (PIDController, FixedPointPID)
-
-    global block_from_dict
-    prev_loader = block_from_dict
-
-    def loader(node: dict) -> Block:  # type: ignore[no-redef]
-        cls = _CLASSES.get(node["type"])
-        if cls in _gains_classes:
-            params = dict(node["params"])
-            params["gains"] = PIDGains(**params["gains"])
-            return cls(node["name"], **params)
-        if cls is DCMotor:
-            params = dict(node["params"])
-            params["params"] = MotorParams(**params["params"])
-            return cls(node["name"], **params)
-        return prev_loader(node)
-
-    block_from_dict = loader
-
-
-_domain_registered = False
-
-
-def _ensure_domain_registered() -> None:
-    """Register the PE/control/plant block classes on first use.
-
-    Deferred (not at import time) because the domain packages themselves
-    import :mod:`repro.model` — eager registration would make the import
-    graph order-dependent.
-    """
-    global _domain_registered
-    if not _domain_registered:
-        _domain_registered = True
-        _register_domain()
+    register_block_class(
+        DCMotor,
+        _motor_extract,
+        lambda name, params, **rest: DCMotor(name, MotorParams(**params), **rest),
+    )

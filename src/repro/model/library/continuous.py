@@ -119,6 +119,8 @@ class TransferFunction(StateSpace):
     def __init__(self, name: str, num, den):
         num = [float(v) for v in num]
         den = [float(v) for v in den]
+        #: the coefficients as given: what the model document stores
+        self.num, self.den = num, den
         if not den or den[0] == 0.0:
             raise ValueError("den[0] must be nonzero")
         if len(num) > len(den):

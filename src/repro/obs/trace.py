@@ -348,13 +348,19 @@ class Tracer:
             self._overflow_noted = False
 
     def _resize(self, capacity: int) -> None:
-        """Rebuild the ring at ``capacity``, keeping the newest events."""
+        """Rebuild the ring at ``capacity``, keeping the newest events;
+        the caller events a shrink evicts count as dropped."""
         if capacity < 1:
             raise ValueError("tracer capacity must be >= 1")
         with self._lock:
             if capacity != self.capacity:
                 self.capacity = int(capacity)
-                self._buf = deque(self._buf, maxlen=self.capacity)
+                events = list(self._buf)
+                cut = max(0, len(events) - self.capacity)
+                self.dropped_events += sum(
+                    1 for ev in events[:cut] if ev.get("name") != _OVERFLOW
+                )
+                self._buf = deque(events[cut:], maxlen=self.capacity)
                 self._overflow_noted = False
 
     def to_jsonl(self) -> str:

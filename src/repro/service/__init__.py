@@ -38,7 +38,7 @@ from .jobs import (
 from .client import BatchSweepHandle, SimServe, SweepHandle
 from .coalesce import CoalesceConfig, CoalescedBatch, coalesce_key
 from .metrics import Histogram, ServiceMetrics
-from .model_cache import ModelCache, canonical_model_doc, model_content_hash
+from .model_cache import ModelCache, model_content_hash
 from .results import JobRecord, ResultStore
 from .scheduler import Scheduler
 from .workers import WorkerPool, execute_request
@@ -69,7 +69,6 @@ __all__ = [
     "SweepHandle",
     "SweepRequest",
     "WorkerPool",
-    "canonical_model_doc",
     "coalesce_key",
     "execute_request",
     "model_content_hash",

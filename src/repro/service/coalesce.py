@@ -46,6 +46,8 @@ import os
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.model.io import model_content_hash
+
 from .jobs import Job, MILRequest, SweepRequest
 
 #: environment switches (read by :meth:`CoalesceConfig.from_env`)
@@ -99,8 +101,6 @@ def coalesce_key(request) -> Optional[Tuple]:
     per member at demux.  MIL jobs and batched sweeps with one model doc
     can share a run: a lane is a lane.
     """
-    from .model_cache import model_content_hash
-
     if isinstance(request, MILRequest):
         pass
     elif isinstance(request, SweepRequest) and request.execution == "batch":

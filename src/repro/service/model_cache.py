@@ -28,17 +28,16 @@ Two properties make sharing safe:
 Models that cannot serialise (charts and custom S-functions hold Python
 callables) are *bypassed*: compiled fresh per job, never shared.
 
-The content hash is also a public utility (:func:`model_content_hash`,
-defined beside the model document in :mod:`repro.model.io` and
-re-exported here): stable across processes (no ``id()`` / ``repr``
-leakage, dict traversal canonicalised), pinned by a subprocess
+The key is the content hash of the canonical document
+(:func:`~repro.model.io.doc_content_hash`, with ``dt``; the lowering memo
+keys by solver): :mod:`repro.model.io` alone writes the document and
+hashes it.  :func:`model_content_hash` is re-exported here: stable across
+processes (no ``id()`` / ``repr`` leakage), pinned by a subprocess
 round-trip test.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -48,9 +47,10 @@ from repro.model.compiled import CompiledModel
 from repro.model.diagnostics import ModelError
 from repro.model.graph import Model
 from repro.model.io import (  # noqa: F401  (the hash is re-exported here)
-    canonical_model_doc,
+    doc_content_hash,
     model_content_hash,
     model_from_dict,
+    model_to_dict,
 )
 
 
@@ -58,13 +58,12 @@ from repro.model.io import (  # noqa: F401  (the hash is re-exported here)
 # the cache
 # ---------------------------------------------------------------------------
 class _Entry:
-    __slots__ = ("cm", "lock", "hits", "doc")
+    __slots__ = ("cm", "lock", "hits")
 
-    def __init__(self, doc: dict):
+    def __init__(self):
         self.cm: Optional[CompiledModel] = None
         self.lock = threading.Lock()
         self.hits = 0
-        self.doc = doc
 
 
 class ModelCache:
@@ -102,18 +101,18 @@ class ModelCache:
         no lock needed — the artifact is job-local).
         """
         try:
-            doc = canonical_model_doc(model)
+            doc = model_to_dict(model)
         except ModelError:
             with self._lock:
                 self.bypasses += 1
             yield CompiledModel.build(model, dt), False
             return
 
-        key = _hash_doc(doc, dt)
+        key = doc_content_hash(doc, dt)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                entry = _Entry(doc)
+                entry = _Entry()
                 self._entries[key] = entry
                 while len(self._entries) > self.capacity:
                     evicted_key = next(iter(self._entries))
@@ -127,7 +126,7 @@ class ModelCache:
             if entry.cm is None:
                 # private rebuild: cached blocks are never aliased with
                 # the caller's (or any other entry's) block instances
-                entry.cm = CompiledModel.build(model_from_dict(entry.doc), dt)
+                entry.cm = CompiledModel.build(model_from_dict(doc), dt)
                 entry.cm.lowering_memo = {}  # sound: nobody else holds these blocks
                 hit = False
                 with self._lock:
@@ -156,9 +155,3 @@ class ModelCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-
-
-def _hash_doc(doc: dict, dt: float) -> str:
-    text = json.dumps({"doc": doc, "dt": dt, "solver": None},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

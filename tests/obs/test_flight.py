@@ -56,6 +56,20 @@ class TestFlightRing(unittest.TestCase):
         self.assertEqual(manifest["dropped_events"], 2)
         self.assertEqual(manifest["events"], 4)
 
+    def test_shrink_counts_evicted_events_in_the_dump(self):
+        fr = FlightRecorder(capacity=16)
+        for k in range(8):
+            fr.instant(f"e{k}")
+        fr._resize(3)  # what configure_flight(capacity=3) does
+        self.assertEqual([e["name"] for e in fr.events()], ["e5", "e6", "e7"])
+        self.assertEqual(fr.dropped_events, 5)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = fr.dump(os.path.join(tmp, "box.jsonl"))
+            with open(path + ".manifest.json") as fh:
+                manifest = json.load(fh)
+        self.assertEqual(manifest["dropped_events"], 5)
+        self.assertEqual(manifest["events"], 3)
+
     def test_disabled_recorder_is_inert(self):
         fr = FlightRecorder(enabled=False)
         fr.instant("x")

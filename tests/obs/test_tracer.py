@@ -63,6 +63,7 @@ class TestRingBuffer:
             configure(capacity=3)
             assert tr.capacity == 3
             assert [e["name"] for e in tr.events()] == ["ev-5", "ev-6", "ev-7"]
+            assert tr.dropped_events == 5  # ev-0..ev-4, evicted by the shrink
             configure(enabled=False, capacity=16)
             assert not tr.enabled
 

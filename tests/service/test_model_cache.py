@@ -14,10 +14,12 @@ import time
 
 import pytest
 
+from repro.core.blocks import TimerIntBlock
 from repro.model import Model
 from repro.model.block import Block
-from repro.model.library import Constant, Gain, Scope
-from repro.service import ModelCache, canonical_model_doc, model_content_hash
+from repro.model.io import model_to_dict
+from repro.model.library import Constant, FunctionCallSubsystem, Gain, Scope
+from repro.service import ModelCache, model_content_hash
 
 from .helpers import build_loop_model
 
@@ -97,21 +99,26 @@ class TestContentHash:
         assert model_content_hash(m) == model_content_hash(m)
 
     def test_canonical_doc_sorts_data_but_keeps_event_order(self):
-        doc = {
-            "format": 1,
-            "name": "m",
-            "blocks": [
-                {"type": "Gain", "name": "b", "params": {"gain": 1.0}},
-                {"type": "Gain", "name": "a", "params": {"gain": 1.0}},
-            ],
-            "connections": [["b", 0, "a", 0], ["a", 0, "b", 0]],
-            "events": [["t", 0, "isr2"], ["t", 0, "isr1"]],
-        }
-        canon = canonical_model_doc(doc)
-        assert [n["name"] for n in canon["blocks"]] == ["a", "b"]
-        assert canon["connections"] == [["a", 0, "b", 0], ["b", 0, "a", 0]]
+        def build(isr_order):
+            m = Model("m")
+            m.add(Gain("b", gain=1.0))
+            m.add(Gain("a", gain=1.0))
+            m.connect("b", "a")
+            m.connect("a", "b")
+            m.add(TimerIntBlock("t", period=1e-3))
+            for isr in ("isr2", "isr1"):
+                m.add(FunctionCallSubsystem(isr))
+            for isr in isr_order:
+                m.connect_event("t", isr)
+            return m
+
+        doc = model_to_dict(build(("isr2", "isr1")))
+        assert [n["name"] for n in doc["blocks"]] == ["a", "b", "isr1", "isr2", "t"]
+        assert doc["connections"] == [["a", 0, "b", 0], ["b", 0, "a", 0]]
         # function-call dispatch order is semantic: must NOT be sorted
-        assert canon["events"] == [["t", 0, "isr2"], ["t", 0, "isr1"]]
+        assert doc["events"] == [["t", 0, "isr2"], ["t", 0, "isr1"]]
+        assert model_content_hash(build(("isr2", "isr1"))) != model_content_hash(
+            build(("isr1", "isr2")))
 
 
 class _Opaque(Block):
