@@ -14,11 +14,19 @@ by re-emitting just the blocks the scenarios override
 (:meth:`~repro.native.emit.NativeProgram.relower`).  A lane whose
 override selects another emitted form (a gain of exactly -1) gets an
 artifact of its own.  Without a ``step_hook`` each lane runs whole
-chunks in C, with ``SimulationOptions.cancel`` polled between chunks;
-with one, the lanes advance in lockstep so the hook sees every lane at
-each step.  ``S``/``X`` are then ``(n, B)`` views of the lanes'
-``(B, n)`` buffers, so taps read and write the same way on both
-executors.
+chunks in C, writing its rows straight into the lane-major log, with
+``SimulationOptions.cancel`` polled between chunks; the lanes of a
+chunk step as contiguous groups, one per usable CPU, on threads
+(:class:`~repro.native.executor.LaneGroups`).  With a hook, the lanes
+advance in lockstep so the hook sees every lane at each step.
+``S``/``X`` are then ``(n, B)`` views of the lanes' ``(B, n)`` buffers,
+so taps read and write the same way on both executors.
+
+Both executors log into lane-major buffers: scope samples in one
+``(B, capacity, n_scopes)`` array and, with ``log_all_signals``, signal
+rows in one ``(B, capacity, n_signals)`` array.  Lane ``b``'s rows of a
+chunk are contiguous there, exactly what ``nx_run`` writes; per-step
+logging writes through ``(capacity, B)`` views of the same buffers.
 
 The second, the **numpy engine**, takes the whole ensemble when native
 lanes cannot bind (wired function-call subsystems, no toolchain,
@@ -322,12 +330,19 @@ class BatchSimulator:
         self._trig_u: dict[str, list] = {}
         self._terminate: list[tuple[Block, BlockContext]] = []
         self._t_log: Optional[np.ndarray] = None
+        #: lane-major logs, ``(B, capacity, n_scopes)`` and (with
+        #: ``log_all_signals``) ``(B, capacity, n_signals)``
+        self._scope_log: Optional[np.ndarray] = None
+        self._trace_log: Optional[np.ndarray] = None
+        #: per-step views of those: ``(capacity, B)`` per scope, and
+        #: ``(capacity, n_signals, B)``
         self._scope_buf: dict[str, np.ndarray] = {}
         self._trace: Optional[np.ndarray] = None
         self._log_len = 0
         self.plan_stats: dict = {}
-        #: one bound native context per lane (None on the numpy engine)
-        self._lanes: Optional[list] = None
+        #: one bound native context per lane, in thread groups (a
+        #: ``LaneGroups``; None on the numpy engine)
+        self._lanes = None
         #: why native lanes were not bound (None when they are)
         self.native_fallback_reason: Optional[str] = None
         self._initialized = False
@@ -509,7 +524,7 @@ class BatchSimulator:
                 program, so_path = form
                 vectors = (None, None)  # the program's own vectors
             bound.append((program, so_path, vectors))
-        from ..native import NativePath
+        from ..native.executor import LaneGroups, NativePath
 
         try:
             lanes = [
@@ -519,7 +534,7 @@ class BatchSimulator:
         except Exception as exc:  # dlopen/ABI trouble: the numpy engine
             return self._stay_on_engine(base, "compile_error",
                                         f"load failed: {exc}")
-        self._lanes = lanes
+        self._lanes = LaneGroups(lanes, len(base._sched))
         self.S, self.X = S.T, X.T
         self._scope_sched = list(base._scope_sched)
         self._terminate = started
@@ -528,6 +543,7 @@ class BatchSimulator:
             "substrate": "native",
             "forms": len(forms),
             "overridden_blocks": len(overridden),
+            "lane_groups": len(self._lanes.groups),
         }
         return True
 
@@ -553,34 +569,35 @@ class BatchSimulator:
         self.native_fallback_reason = sim.native_fallback_reason
         return False
 
-    def _run_lanes(self, n_steps: int) -> None:
+    def _run_lanes(self, n_steps: int) -> int:
         """``n_steps`` major steps on every lane: one ``nx_run`` call per
-        lane chunk, its scope (and trace) rows written into the logs;
-        ``cancel`` is polled before each chunk of every lane."""
+        lane chunk, writing its scope (and trace) rows in place into the
+        lane-major logs, the lanes split into thread groups; ``cancel``
+        is polled before each chunk, on the calling thread.  Returns the
+        most groups any chunk ran on."""
         dt = self.options.dt
-        want_trace = self.options.log_all_signals
         cancel = self.options.cancel
         n0 = self._log_len
         if self._t_log is None or self._t_log.shape[0] < n0 + n_steps:
             self._grow_logs(n0 + n_steps)
+        scope_log, trace_log = self._scope_log, self._trace_log
         chunk = Simulator._NATIVE_CHUNK
+        groups = 1
         for done in range(0, n_steps, chunk):
             step = self.step_index
             if cancel is not None and cancel():
                 raise SimulationCancelled(step)
             n = min(chunk, n_steps - done)
             rows = slice(n0 + done, n0 + done + n)
-            for b, lane in enumerate(self._lanes):
-                scope, trace = lane.run_chunk(step, n, want_trace)
-                for k, (qname, _idx) in enumerate(self._scope_sched):
-                    self._scope_buf[qname][rows, b] = scope[:, k]
-                if want_trace:
-                    self._trace[rows, :, b] = trace
+            groups = max(groups, self._lanes.run_chunk(
+                step, n, scope_log[:, rows],
+                None if trace_log is None else trace_log[:, rows]))
             # t = step * dt per step, the product advance() forms
             self._t_log[rows] = np.arange(step, step + n) * dt
             self._log_len = n0 + done + n
             self.step_index = step + n
             self.time = self.step_index * dt
+        return groups
 
     # ------------------------------------------------------------------
     # numpy engine
@@ -950,10 +967,10 @@ class BatchSimulator:
             raise RuntimeError("call initialize() first")
         t = self.time
         step = self.step_index
-        lanes = self._lanes
-        if lanes is not None:
+        if self._lanes is not None:
             # lockstep: every lane's output half, then the log row and the
             # hook over all lanes, then every lane's update + integration
+            lanes = self._lanes.lanes
             for lane in lanes:
                 lane.out_major(step)
             self._log_step(t)
@@ -978,32 +995,33 @@ class BatchSimulator:
     # logging
     # ------------------------------------------------------------------
     def _reserve_logs(self, n_steps: int) -> None:
-        B = self.n_lanes
         if self._t_log is None or self._t_log.shape[0] < n_steps:
             self._grow_logs(n_steps)
-        else:
-            for qname, _idx in self._scope_sched:
-                self._scope_buf.setdefault(qname, np.empty((n_steps, B)))
 
     def _grow_logs(self, capacity: int) -> None:
+        """Re-allocate every log with room for ``capacity`` steps,
+        keeping the rows logged so far, and re-point the views."""
         B = self.n_lanes
         n = self._log_len
+        t_log = np.empty(capacity)
+        if n:
+            t_log[:n] = self._t_log[:n]
+        self._t_log = t_log
 
-        def grown(old, shape):
-            new = np.empty(shape)
-            if old is not None and n:
-                new[:n] = old[:n]
+        def grown(old, width):
+            new = np.empty((B, capacity, width))
+            if n:
+                new[:, :n] = old[:, :n]
             return new
 
-        self._t_log = grown(self._t_log, (capacity,))
-        for qname, _idx in self._scope_sched:
-            self._scope_buf[qname] = grown(
-                self._scope_buf.get(qname), (capacity, B)
-            )
+        self._scope_log = grown(self._scope_log, len(self._scope_sched))
+        self._scope_buf = {
+            qname: self._scope_log[:, :, k].T
+            for k, (qname, _idx) in enumerate(self._scope_sched)
+        }
         if self.options.log_all_signals:
-            self._trace = grown(
-                self._trace, (capacity, self.cm.n_signals, B)
-            )
+            self._trace_log = grown(self._trace_log, self.cm.n_signals)
+            self._trace = self._trace_log.transpose(1, 2, 0)
 
     def _log_step(self, t: float) -> None:
         n = self._log_len
@@ -1037,17 +1055,20 @@ class BatchSimulator:
             "solver": opts.solver, "steps": n_steps,
             "substrate": self.substrate,
         }) as span:
-            self._run_steps(n_steps)
+            groups = self._run_steps(n_steps)
             if span is not None:
                 span.args["lanes_diverged"] = self._lanes_diverged
+                span.args["lane_groups"] = groups
         self._count_run(n_steps)
         return self.result()
 
-    def _run_steps(self, n_steps: int) -> None:
+    def _run_steps(self, n_steps: int) -> int:
+        """Run ``n_steps``; returns the most thread groups a chunk of
+        them ran on (1 on the calling thread alone)."""
         if self._lanes is not None and self.options.step_hook is None:
-            self._run_lanes(n_steps)
-            return
+            return self._run_lanes(n_steps)
         advance_steps(self, n_steps)
+        return 1
 
     def _count_run(self, n_steps: int) -> None:
         from ..obs.metrics import get_registry

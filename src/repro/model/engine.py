@@ -721,43 +721,46 @@ class Simulator:
 
     def _run_native(self, n_steps: int) -> SimulationResult:
         """Whole-loop execution inside the extension: ``nx_run`` steps
-        in chunks, scope samples (and optionally full signal rows) come
-        back as arrays and extend the logs in bulk.  ``cancel`` is
-        polled before each chunk."""
+        in chunks, writing scope samples into one reused staging block
+        that extends the logs in bulk, and full signal rows (when
+        logged) straight into the trace.  ``cancel`` is polled before
+        each chunk."""
         native = self.native_path
         dt = self.options.dt
         want_trace = self.options.log_all_signals
         cancel = self.options.cancel
         scope_names = [qname for qname, _idx in self._scope_sched]
+        scope = np.empty((min(self._NATIVE_CHUNK, n_steps), len(scope_names)))
         done = 0
         while done < n_steps:
             start = self.step_index
             if cancel is not None and cancel():
                 raise SimulationCancelled(start)
             n = min(self._NATIVE_CHUNK, n_steps - done)
-            scope, trace = native.run_chunk(start, n, want_trace)
+            native.run_chunk(start, n, scope[:n],
+                             self._trace_rows(n) if want_trace else None)
             # t = step * dt per step, the reference advance() product
             self._times.extend(np.arange(start, start + n) * dt)
             for k, qname in enumerate(scope_names):
                 log = self._scope_logs.get(qname)
                 if log is None:
                     log = self._scope_logs[qname] = SignalLog()
-                log.extend(scope[:, k])
-            if want_trace and trace is not None:
-                self._append_trace_rows(trace)
+                log.extend(scope[:n, k])
             self.step_index = start + n
             self.time = self.step_index * dt
             done += n
         return self.result()
 
-    def _append_trace_rows(self, rows: np.ndarray) -> None:
-        n = rows.shape[0]
+    def _trace_rows(self, n: int) -> np.ndarray:
+        """The signal trace's next ``n`` rows (grown to hold them),
+        counted as logged."""
         trace = self._signal_trace
         if trace is None or self._trace_len + n > trace.shape[0]:
             self._grow_trace(max(64, 2 * self._trace_len, self._trace_len + n))
             trace = self._signal_trace
-        trace[self._trace_len : self._trace_len + n] = rows
+        rows = trace[self._trace_len : self._trace_len + n]
         self._trace_len += n
+        return rows
 
     def _count_run(self, n_steps: int) -> None:
         """Roll the run into the process-wide metrics registry."""

@@ -223,6 +223,35 @@ def model_content_hash(
 # ---------------------------------------------------------------------------
 # registrations: standard library
 # ---------------------------------------------------------------------------
+def _dtype_to_dict(dtype) -> dict:
+    """A :class:`~repro.model.types.DataType` as a document value: its
+    name, plus its fixed-point format (enums by name) when it has one."""
+    f = dtype.fixpt
+    return {"name": dtype.name, "fixpt": None if f is None else {
+        "word_length": f.word_length, "fraction_length": f.fraction_length,
+        "signed": f.signed, "overflow": f.overflow.name,
+        "rounding": f.rounding.name,
+    }}
+
+
+def _dtype_from_dict(doc: dict):
+    """The inverse of :func:`_dtype_to_dict`; a malformed value raises
+    ``KeyError``/``TypeError``/``ValueError`` (a malformed node)."""
+    from repro.fixpt import FixedPointType, Overflow, Rounding
+
+    from .types import DataType
+
+    name, f = doc["name"], doc["fixpt"]
+    if not isinstance(name, str):
+        raise TypeError(f"data type name must be a string, not {name!r}")
+    if f is None:
+        return DataType(name)
+    return DataType(name, FixedPointType(
+        f["word_length"], f["fraction_length"], f["signed"],
+        Overflow[f["overflow"]], Rounding[f["rounding"]],
+    ))
+
+
 def _register_standard() -> None:
     from . import library as lib
 
@@ -260,6 +289,11 @@ def _register_standard() -> None:
     register_block_class(
         lib.StateSpace,
         lambda b: {"A": b.A, "B": b.B, "C": b.C, "D": b.D, "x0": b.x0},
+    )
+    register_block_class(
+        lib.DataTypeConversion,
+        lambda b: {"target": _dtype_to_dict(b.target)},
+        lambda name, target: lib.DataTypeConversion(name, _dtype_from_dict(target)),
     )
 
     def subsystem(cls) -> None:

@@ -203,7 +203,9 @@ _exiting = False
 
 
 def cc_slots() -> int:
-    """How many ``cc`` may run at once: the CPUs this process may use."""
+    """The CPUs this process may use: how many ``cc`` may run at once,
+    and how many groups an ensemble's native lanes step in
+    (:class:`repro.native.executor.LaneGroups`)."""
     try:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # no affinity API on this platform

@@ -19,6 +19,7 @@ from repro.model.io import (
 )
 from repro.model.library import (
     Constant,
+    DataTypeConversion,
     DiscreteTransferFunction,
     Gain,
     Lookup1D,
@@ -33,6 +34,7 @@ from repro.model.library import (
     Inport,
     Outport,
 )
+from repro.model.types import DOUBLE
 from repro.service.__main__ import servo_sweep_model
 from tests.core.test_event_driven_controller import build_event_driven_servo
 from tests.model.test_kernels import LIBRARY, harness
@@ -171,8 +173,8 @@ class TestServoModelRoundTrip:
 #: one model per block type; DataTypeConversion is not registered for
 #: serialisation (a model holding one bypasses the model cache)
 DOCUMENT_MODELS = {
-    **{f"library.{key}": harness(make) for key, make in LIBRARY.items()
-       if key != "dtype_conversion"},
+    **{f"library.{key}": harness(make) for key, make in LIBRARY.items()},
+    "dtype_conversion_double": harness(lambda: DataTypeConversion("b", DOUBLE)),
     "subsystem": subsystem_model,
     "function_call_subsystem": lambda: build_event_driven_servo()[0],
     "servo": lambda: build_servo_model(ServoConfig(setpoint=100.0)).model,
@@ -251,6 +253,11 @@ class TestCanonicalDocument:
         {"type": "PIDController", "name": "pid", "params": {"sample_time": 1e-3}},
         {"type": "DCMotor", "name": "m", "params": {"params": {"R": 1.0}}},
         {"type": "Subsystem", "name": "s", "params": {}},
+        {"type": "DataTypeConversion", "name": "c", "params": {"target": "int16"}},
+        {"type": "DataTypeConversion", "name": "c", "params": {"target": {
+            "name": "int16", "fixpt": {"word_length": 16, "fraction_length": 0,
+                                       "signed": True, "overflow": "CLAMP",
+                                       "rounding": "FLOOR"}}}},
     ], ids=lambda node: node["type"])
     def test_malformed_node_raises_model_error(self, node):
         with pytest.raises(ModelError, match="malformed"):

@@ -89,6 +89,9 @@ class TestServeAndReport:
         flight_dir = str(tmp_path / "flight")
         fr = get_flight_recorder()
         old_dir = fr.dump_dir
+        # the recorder is process-wide: a shed an earlier test recorded
+        # would land in this run's dump
+        fr.clear()
         try:
             assert main([
                 "serve", "--port", "0", "--demo-jobs", "1", "--force-shed",

@@ -172,6 +172,21 @@ class TestModelCache:
         assert len(cache) == 0
         assert cache.stats()["bypasses"] == 1
 
+    def test_a_conversion_model_is_cached(self):
+        """A DataTypeConversion diagram has a document, so SimServe's
+        second job on it is a cache hit, not a bypass."""
+        from repro.service import MILRequest, SimServe
+
+        from tests.model.test_kernels import LIBRARY, harness
+
+        model = harness(LIBRARY["dtype_conversion"])()
+        with SimServe(workers=1) as svc:
+            records = [svc.submit(MILRequest(model=model, dt=1e-3, t_final=0.01))
+                       .record(timeout=60.0) for _ in range(2)]
+            stats = svc.cache.stats()
+        assert [rec.cache_hit for rec in records] == [False, True]
+        assert stats["bypasses"] == 0
+
     def test_lease_serializes_identical_models(self):
         """One compiled model must never run in two simulators at once."""
         cache = ModelCache()
