@@ -102,7 +102,7 @@ def bench_engine(use_kernels: bool, t_final: float = 0.5) -> dict:
     )
     sim.initialize()
     n_steps = int(round(t_final / 1e-4)) + 1
-    sim._reserve_logs(n_steps)
+    sim.log.reserve(n_steps)
     t0 = time.perf_counter()
     for _ in range(n_steps):
         sim.advance()
@@ -536,7 +536,7 @@ def bench_tracing_overhead(pairs: int = 120, chunk: int = 250) -> dict:
             dt=dt, t_final=n_steps * dt, use_kernels=True, native=False,
         ))
         sim.initialize()
-    sim._reserve_logs(n_steps + 1)
+    sim.log.reserve(n_steps + 1)
 
     def run_chunk(enabled: bool) -> float:
         tracer.enabled = enabled

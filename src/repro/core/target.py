@@ -216,7 +216,7 @@ class DeployedApplication:
     step_count: int = 0
     #: callbacks run after every periodic step (the PIL image appends the
     #: packet-composition code here)
-    post_step_hooks: list = field(default_factory=list)
+    post_step_callbacks: list = field(default_factory=list)
 
     # ------------------------------------------------------------------
     # structure queries (used by the co-simulation harnesses)
@@ -298,8 +298,8 @@ class DeployedApplication:
             for fc in tick_fcs:
                 executor.call_block(fc, t)
             self.step_count += 1
-            for hook in self.post_step_hooks:
-                hook()
+            for callback in self.post_step_callbacks:
+                callback()
 
         # rate-aware tick cost: a base-rate step pays only for the blocks
         # whose rate guard passes this tick (plus any timer-fired FC bodies)

@@ -13,20 +13,17 @@ data (``P``), so lanes differ only in their ``P``/``DW`` vectors, made
 by re-emitting just the blocks the scenarios override
 (:meth:`~repro.native.emit.NativeProgram.relower`).  A lane whose
 override selects another emitted form (a gain of exactly -1) gets an
-artifact of its own.  Without a ``step_hook`` each lane runs whole
-chunks in C, writing its rows straight into the lane-major log, with
-``SimulationOptions.cancel`` polled between chunks; the lanes of a
-chunk step as contiguous groups, one per usable CPU, on threads
-(:class:`~repro.native.executor.LaneGroups`).  With a hook, the lanes
-advance in lockstep so the hook sees every lane at each step.
-``S``/``X`` are then ``(n, B)`` views of the lanes' ``(B, n)`` buffers,
-so taps read and write the same way on both executors.
+artifact of its own.  Each lane runs whole chunks in C, writing its
+rows straight into the run log, with ``SimulationOptions.cancel``
+polled between chunks; the lanes of a chunk step as contiguous groups,
+one per usable CPU, on threads (:class:`~repro.native.executor.
+LaneGroups`).  ``advance()`` is a one-step chunk.  ``S``/``X`` are
+``(n, B)`` views of the lanes' ``(B, n)`` buffers, so taps between
+steps read and write the same way on both executors.
 
-Both executors log into lane-major buffers: scope samples in one
-``(B, capacity, n_scopes)`` array and, with ``log_all_signals``, signal
-rows in one ``(B, capacity, n_signals)`` array.  Lane ``b``'s rows of a
-chunk are contiguous there, exactly what ``nx_run`` writes; per-step
-logging writes through ``(capacity, B)`` views of the same buffers.
+Both executors log into one lane-major
+:class:`~repro.model.result.RunLog`, as a single run does: lane ``b``'s
+rows of a chunk are contiguous there, exactly what ``nx_run`` writes.
 
 The second, the **numpy engine**, takes the whole ensemble when native
 lanes cannot bind (wired function-call subsystems, no toolchain,
@@ -84,10 +81,11 @@ from ..obs.trace import get_tracer
 from .block import Block, BlockContext
 from .compiled import CompiledModel
 from .engine import (
-    SimulationCancelled,
     SimulationOptions,
     Simulator,
     advance_steps,
+    run_log,
+    run_native,
 )
 from .graph import Model
 from .kernels import (
@@ -329,16 +327,8 @@ class BatchSimulator:
         self._trig_out: dict[str, list[int]] = {}
         self._trig_u: dict[str, list] = {}
         self._terminate: list[tuple[Block, BlockContext]] = []
-        self._t_log: Optional[np.ndarray] = None
-        #: lane-major logs, ``(B, capacity, n_scopes)`` and (with
-        #: ``log_all_signals``) ``(B, capacity, n_signals)``
-        self._scope_log: Optional[np.ndarray] = None
-        self._trace_log: Optional[np.ndarray] = None
-        #: per-step views of those: ``(capacity, B)`` per scope, and
-        #: ``(capacity, n_signals, B)``
-        self._scope_buf: dict[str, np.ndarray] = {}
-        self._trace: Optional[np.ndarray] = None
-        self._log_len = 0
+        #: what the run logs (made in initialize)
+        self.log = None
         self.plan_stats: dict = {}
         #: one bound native context per lane, in thread groups (a
         #: ``LaneGroups``; None on the numpy engine)
@@ -463,6 +453,8 @@ class BatchSimulator:
         self._validate_scenarios()
         if not self._bind_lanes():
             self._plan_engine()
+        self.log = run_log(self.cm, self._scope_sched, self.n_lanes,
+                           self.options.log_all_signals)
         self._initialized = True
         tr = self._tracer
         if tr.enabled:
@@ -568,36 +560,6 @@ class BatchSimulator:
             sim._native_fallback(reason, detail)
         self.native_fallback_reason = sim.native_fallback_reason
         return False
-
-    def _run_lanes(self, n_steps: int) -> int:
-        """``n_steps`` major steps on every lane: one ``nx_run`` call per
-        lane chunk, writing its scope (and trace) rows in place into the
-        lane-major logs, the lanes split into thread groups; ``cancel``
-        is polled before each chunk, on the calling thread.  Returns the
-        most groups any chunk ran on."""
-        dt = self.options.dt
-        cancel = self.options.cancel
-        n0 = self._log_len
-        if self._t_log is None or self._t_log.shape[0] < n0 + n_steps:
-            self._grow_logs(n0 + n_steps)
-        scope_log, trace_log = self._scope_log, self._trace_log
-        chunk = Simulator._NATIVE_CHUNK
-        groups = 1
-        for done in range(0, n_steps, chunk):
-            step = self.step_index
-            if cancel is not None and cancel():
-                raise SimulationCancelled(step)
-            n = min(chunk, n_steps - done)
-            rows = slice(n0 + done, n0 + done + n)
-            groups = max(groups, self._lanes.run_chunk(
-                step, n, scope_log[:, rows],
-                None if trace_log is None else trace_log[:, rows]))
-            # t = step * dt per step, the product advance() forms
-            self._t_log[rows] = np.arange(step, step + n) * dt
-            self._log_len = n0 + done + n
-            self.step_index = step + n
-            self.time = self.step_index * dt
-        return groups
 
     # ------------------------------------------------------------------
     # numpy engine
@@ -965,75 +927,25 @@ class BatchSimulator:
         """Execute one major step on every lane; returns the new time."""
         if not self._initialized:
             raise RuntimeError("call initialize() first")
+        if self._lanes is not None:
+            run_native(self, self._lanes.run_chunk, 1)
+            return self.time
         t = self.time
         step = self.step_index
-        if self._lanes is not None:
-            # lockstep: every lane's output half, then the log row and the
-            # hook over all lanes, then every lane's update + integration
-            lanes = self._lanes.lanes
-            for lane in lanes:
-                lane.out_major(step)
-            self._log_step(t)
-            if self.options.step_hook is not None:
-                self.options.step_hook(t, self)
-            for lane in lanes:
-                lane.finish(step)
-        else:
-            self._out_major(t, step)
-            if self._fired:
-                self._flush_fired()
-            self._log_step(t)
-            if self.options.step_hook is not None:
-                self.options.step_hook(t, self)
-            self._update(t, step)
-            self._integrate(t)
+        self._out_major(t, step)
+        if self._fired:
+            self._flush_fired()
+        self._log_step(t)
+        self._update(t, step)
+        self._integrate(t)
         self.step_index = step + 1
         self.time = self.step_index * self.options.dt
         return self.time
 
-    # ------------------------------------------------------------------
-    # logging
-    # ------------------------------------------------------------------
-    def _reserve_logs(self, n_steps: int) -> None:
-        if self._t_log is None or self._t_log.shape[0] < n_steps:
-            self._grow_logs(n_steps)
-
-    def _grow_logs(self, capacity: int) -> None:
-        """Re-allocate every log with room for ``capacity`` steps,
-        keeping the rows logged so far, and re-point the views."""
-        B = self.n_lanes
-        n = self._log_len
-        t_log = np.empty(capacity)
-        if n:
-            t_log[:n] = self._t_log[:n]
-        self._t_log = t_log
-
-        def grown(old, width):
-            new = np.empty((B, capacity, width))
-            if n:
-                new[:, :n] = old[:, :n]
-            return new
-
-        self._scope_log = grown(self._scope_log, len(self._scope_sched))
-        self._scope_buf = {
-            qname: self._scope_log[:, :, k].T
-            for k, (qname, _idx) in enumerate(self._scope_sched)
-        }
-        if self.options.log_all_signals:
-            self._trace_log = grown(self._trace_log, self.cm.n_signals)
-            self._trace = self._trace_log.transpose(1, 2, 0)
-
     def _log_step(self, t: float) -> None:
-        n = self._log_len
-        if self._t_log is None or n >= self._t_log.shape[0]:
-            self._grow_logs(max(64, 2 * n))
-        self._t_log[n] = t
         S = self.S
-        for qname, idx in self._scope_sched:
-            self._scope_buf[qname][n] = S[idx]
-        if self.options.log_all_signals:
-            self._trace[n] = S
-        self._log_len = n + 1
+        self.log.append(t, S[[idx for _qname, idx in self._scope_sched]].T,
+                        S.T)
 
     # ------------------------------------------------------------------
     # running
@@ -1043,7 +955,7 @@ class BatchSimulator:
         if not self._initialized:
             self.initialize()
         n_steps = int(round(self.options.t_final / self.options.dt)) + 1
-        self._reserve_logs(n_steps)
+        self.log.reserve(self.log.n + n_steps)
         tr = self._tracer
         if not tr.enabled:
             self._run_steps(n_steps)
@@ -1065,8 +977,9 @@ class BatchSimulator:
     def _run_steps(self, n_steps: int) -> int:
         """Run ``n_steps``; returns the most thread groups a chunk of
         them ran on (1 on the calling thread alone)."""
-        if self._lanes is not None and self.options.step_hook is None:
-            return self._run_lanes(n_steps)
+        if self._lanes is not None:
+            return run_native(self, self._lanes.run_chunk, n_steps,
+                              self.options.cancel)
         advance_steps(self, n_steps)
         return 1
 
@@ -1099,19 +1012,12 @@ class BatchSimulator:
 
     def result(self) -> BatchSimulationResult:
         """Assemble a :class:`BatchSimulationResult` from the logs so far."""
-        n = self._log_len
-        t = self._t_log[:n].copy() if self._t_log is not None else np.empty(0)
-        signals: dict[str, np.ndarray] = {}
-        for qname, _idx in self._scope_sched:
-            label = getattr(self.cm.nodes[qname], "label", None) or qname
-            signals[label] = self._scope_buf[qname][:n].copy()
-        if self.options.log_all_signals and n:
-            trace = self._trace
-            for (qname, port), idx in self.cm.sig_index.items():
-                signals.setdefault(f"{qname}:{port}", trace[:n, idx, :].copy())
+        log = self.log
+        signals = {name: rows.T.copy() for name, rows in log.columns().items()}
         for block, ctx in self._terminate:
             block.terminate(ctx)
-        return BatchSimulationResult(t, signals, self.labels)
+        return BatchSimulationResult(log.t[: log.n].copy(), signals,
+                                     self.labels)
 
     # ------------------------------------------------------------------
     # external access (co-simulation style taps, now lane-addressed)

@@ -10,13 +10,13 @@ fixed-step semantics:
   inherited-rate blocks at intermediate states with ``ctx.minor`` set, so
   events do not fire and discrete state never mutates off the grid.
 
-The per-step hook mechanism (``SimulationOptions.step_hook``) is how the
-PIL co-simulation in :mod:`repro.sim` splices a serial-line exchange into
-the loop without changing the model — the paper's single-model property.
-A caller that only needs to stop a run (SimServe's job cancellation)
-passes ``SimulationOptions.cancel`` instead: :meth:`Simulator.run` polls
-it between bounded native chunks or before every Python step, and a
-true poll raises :class:`SimulationCancelled`.
+The PIL/HIL co-simulation in :mod:`repro.sim` drives a plant by
+``initialize`` + ``advance``, reading sensors and writing actuation
+between steps, without changing the model — the paper's single-model
+property.  A caller that needs to stop a run (SimServe's job
+cancellation) passes ``SimulationOptions.cancel``: :meth:`Simulator.run`
+polls it between bounded native chunks or before every Python step, and
+a true poll raises :class:`SimulationCancelled`.
 
 Two execution paths share these semantics:
 
@@ -32,6 +32,9 @@ Two execution paths share these semantics:
 
 A third executor, the native C step loop (:mod:`repro.native`), lowers
 the same kernel plan; when it binds, the kernel fast path is not built.
+Every native step is an ``nx_run`` call: ``run()`` makes one per chunk
+(:func:`run_native`) and ``advance()`` one per step, each writing its
+rows straight into the :class:`~repro.model.result.RunLog`.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from ..obs.trace import get_tracer
 from .block import Block, BlockContext
 from .compiled import CompiledModel
 from .graph import Model
-from .result import SignalLog, SimulationResult
+from .result import RunLog, SimulationResult
 
 
 class SimulationCancelled(Exception):
@@ -68,13 +71,10 @@ class SimulationOptions:
     t_final: float = 1.0
     solver: str = "rk4"  # "euler" | "rk4"
     log_all_signals: bool = False
-    #: called after every major step as hook(t, engine)
-    step_hook: Optional[Callable[[float, "Simulator"], None]] = None
     #: zero-argument predicate that ``run()`` polls before every chunk
     #: of at most ``Simulator._NATIVE_CHUNK`` native steps (before every
-    #: step on the Python paths); a true poll raises
-    #: :class:`SimulationCancelled`.  Unlike a hook it keeps native runs
-    #: on the chunked loop.
+    #: step on the Python paths and in traced runs); a true poll raises
+    #: :class:`SimulationCancelled`.
     cancel: Optional[Callable[[], bool]] = None
     #: use the compiled kernel fast path when the model supports it
     use_kernels: bool = True
@@ -133,10 +133,8 @@ class Simulator:
         self.x = np.zeros(self.cm.n_states)
         self.step_index = 0
         self.time = 0.0
-        self._scope_logs: dict[str, SignalLog] = {}
-        self._signal_trace: Optional[np.ndarray] = None
-        self._trace_len = 0
-        self._times = SignalLog()
+        #: what the run logs (made in initialize)
+        self.log: Optional[RunLog] = None
         self._pending_events: deque[tuple[str, int]] = deque()
         # reference-interpreter schedules, precomputed in initialize():
         #   (block, ctx, in_indices, out_indices, divisor, u_scratch)
@@ -193,6 +191,10 @@ class Simulator:
             plan = self._plan_kernels(memo)
         if not self._bind_native(mode, plan, memo):
             self._bind_fast_path(plan)
+        self.log = run_log(self.cm, self._scope_sched, 1,
+                           self.options.log_all_signals)
+        if self.native_path is not None:
+            self.native_path.check_log(self.log)
         self._initialized = True
 
     def _lowering_memo(self) -> Optional[_Lowered]:
@@ -587,103 +589,64 @@ class Simulator:
         t = self.time
         step = self.step_index
         tr = self._tracer
-        native = self.native_path
-        if native is not None:
-            if tr.enabled and step % tr.step_stride == 0:
-                return self._advance_native_traced(t, step, tr)
-            native.out_major(step)
-            self._log_step(t)
-            if self.options.step_hook is not None:
-                self.options.step_hook(t, self)
-            native.finish(step)
-            self.step_index = step + 1
-            self.time = self.step_index * self.options.dt
-            return self.time
         if tr.enabled and step % tr.step_stride == 0:
             return self._advance_traced(t, step, tr)
-        self._out_major(t, step)
-        self._log_step(t)
-        if self.options.step_hook is not None:
-            self.options.step_hook(t, self)
-        self._update(t, step)
-        self._integrate(t)
+        if self.native_path is not None:
+            self._native_step(t, step)
+        else:
+            self._out_major(t, step)
+            self._log_step(t)
+            self._update(t, step)
+            self._integrate(t)
         self.step_index = step + 1
         self.time = self.step_index * self.options.dt
-        # restore outputs consistent with the post-integration state for
-        # anyone peeking between steps
         return self.time
+
+    def _native_step(self, t: float, step: int) -> None:
+        """One native major step: one ``nx_run(step, 1)`` writing its
+        scope row (and signal row) straight into the log's next row,
+        addressed from the log's base and row stride."""
+        log = self.log
+        n = log.n
+        if n == log.capacity:
+            log.room(1)
+        trace = log.trace_at
+        self.native_path.nx_run(
+            step, 1, log.scope_at + n * log.scope_row,
+            None if trace is None else trace + n * log.trace_row)
+        log.t[n] = t
+        log.n = n + 1
 
     def _advance_traced(self, t: float, step: int, tr) -> float:
         """The sampled 1-in-``step_stride`` variant of :meth:`advance`:
-        same pass sequence, wrapped in a major-step span with per-pass
-        child spans."""
-        span = tr.begin("engine.major_step", cat="engine", sim_t=t,
-                        args={"step": step})
-        t0 = perf_counter()
-        self._out_major(t, step)
-        tr.complete("engine.output_pass", "engine", t0, sim_t=t)
-        self._log_step(t)
-        if self.options.step_hook is not None:
-            self.options.step_hook(t, self)
-        t0 = perf_counter()
-        self._update(t, step)
-        tr.complete("engine.update_pass", "engine", t0, sim_t=t)
-        t0 = perf_counter()
-        self._integrate(t)
-        tr.complete("engine.integrate", "engine", t0, sim_t=t)
+        the same step wrapped in a major-step span, with per-pass child
+        spans on the Python paths (the native step is one call)."""
+        if self.native_path is not None:
+            span = tr.begin("engine.major_step", cat="engine", sim_t=t,
+                            args={"step": step, "native": True})
+            self._native_step(t, step)
+        else:
+            span = tr.begin("engine.major_step", cat="engine", sim_t=t,
+                            args={"step": step})
+            t0 = perf_counter()
+            self._out_major(t, step)
+            tr.complete("engine.output_pass", "engine", t0, sim_t=t)
+            self._log_step(t)
+            t0 = perf_counter()
+            self._update(t, step)
+            tr.complete("engine.update_pass", "engine", t0, sim_t=t)
+            t0 = perf_counter()
+            self._integrate(t)
+            tr.complete("engine.integrate", "engine", t0, sim_t=t)
         self.step_index = step + 1
         self.time = self.step_index * self.options.dt
         tr.end(span)
         return self.time
-
-    def _advance_native_traced(self, t: float, step: int, tr) -> float:
-        """Sampled tracing around one native major step (the extension
-        runs both halves; pass-level spans do not apply)."""
-        span = tr.begin("engine.major_step", cat="engine", sim_t=t,
-                        args={"step": step, "native": True})
-        self.native_path.out_major(step)
-        self._log_step(t)
-        if self.options.step_hook is not None:
-            self.options.step_hook(t, self)
-        self.native_path.finish(step)
-        self.step_index = step + 1
-        self.time = self.step_index * self.options.dt
-        tr.end(span)
-        return self.time
-
-    def _reserve_logs(self, n_steps: int) -> None:
-        """Pre-size the ring buffers when the step count is known."""
-        self._times.reserve(n_steps)
-        for qname, _idx in self._scope_sched:
-            self._scope_logs.setdefault(qname, SignalLog()).reserve(n_steps)
-        if self.options.log_all_signals:
-            self._grow_trace(n_steps)
-
-    def _grow_trace(self, capacity: int) -> None:
-        old = self._signal_trace
-        if old is not None and old.shape[0] >= capacity:
-            return
-        new = np.empty((capacity, self.cm.n_signals))
-        if old is not None and self._trace_len:
-            new[: self._trace_len] = old[: self._trace_len]
-        self._signal_trace = new
 
     def _log_step(self, t: float) -> None:
-        self._times.append(t)
-        logs = self._scope_logs
         sigs = self.signals
-        for qname, idx in self._scope_sched:
-            log = logs.get(qname)
-            if log is None:
-                log = logs[qname] = SignalLog()
-            log.append(sigs[idx])
-        if self.options.log_all_signals:
-            trace = self._signal_trace
-            if trace is None or self._trace_len >= trace.shape[0]:
-                self._grow_trace(max(64, 2 * self._trace_len))
-                trace = self._signal_trace
-            trace[self._trace_len] = sigs
-            self._trace_len += 1
+        self.log.append(t, [sigs[idx] for _qname, idx in self._scope_sched],
+                        sigs)
 
     # ------------------------------------------------------------------
     # running
@@ -693,13 +656,13 @@ class Simulator:
         if not self._initialized:
             self.initialize()
         n_steps = int(round(self.options.t_final / self.options.dt)) + 1
-        self._reserve_logs(n_steps)
+        self.log.reserve(self.log.n + n_steps)
         tr = self._tracer
         if not tr.enabled:
-            if (self.native_path is not None
-                    and self.options.step_hook is None):
-                return self._run_native(n_steps)
-            advance_steps(self, n_steps)
+            if self.native_path is not None:
+                run_native(self, self._run_chunk, n_steps, self.options.cancel)
+            else:
+                advance_steps(self, n_steps)
             return self.result()
         opts = self.options
         if self.native_path is not None:
@@ -715,52 +678,16 @@ class Simulator:
         return self.result()
 
     #: steps per native whole-loop call, and so the most steps a native
-    #: run makes between two ``cancel`` polls — keeps scope/trace
-    #: staging buffers modest while amortizing the FFI call overhead
+    #: run makes between two ``cancel`` polls — amortizes the FFI call
+    #: overhead while keeping cancellation prompt
     _NATIVE_CHUNK = 4096
 
-    def _run_native(self, n_steps: int) -> SimulationResult:
-        """Whole-loop execution inside the extension: ``nx_run`` steps
-        in chunks, writing scope samples into one reused staging block
-        that extends the logs in bulk, and full signal rows (when
-        logged) straight into the trace.  ``cancel`` is polled before
-        each chunk."""
-        native = self.native_path
-        dt = self.options.dt
-        want_trace = self.options.log_all_signals
-        cancel = self.options.cancel
-        scope_names = [qname for qname, _idx in self._scope_sched]
-        scope = np.empty((min(self._NATIVE_CHUNK, n_steps), len(scope_names)))
-        done = 0
-        while done < n_steps:
-            start = self.step_index
-            if cancel is not None and cancel():
-                raise SimulationCancelled(start)
-            n = min(self._NATIVE_CHUNK, n_steps - done)
-            native.run_chunk(start, n, scope[:n],
-                             self._trace_rows(n) if want_trace else None)
-            # t = step * dt per step, the reference advance() product
-            self._times.extend(np.arange(start, start + n) * dt)
-            for k, qname in enumerate(scope_names):
-                log = self._scope_logs.get(qname)
-                if log is None:
-                    log = self._scope_logs[qname] = SignalLog()
-                log.extend(scope[:n, k])
-            self.step_index = start + n
-            self.time = self.step_index * dt
-            done += n
-        return self.result()
-
-    def _trace_rows(self, n: int) -> np.ndarray:
-        """The signal trace's next ``n`` rows (grown to hold them),
-        counted as logged."""
-        trace = self._signal_trace
-        if trace is None or self._trace_len + n > trace.shape[0]:
-            self._grow_trace(max(64, 2 * self._trace_len, self._trace_len + n))
-            trace = self._signal_trace
-        rows = trace[self._trace_len : self._trace_len + n]
-        self._trace_len += n
-        return rows
+    def _run_chunk(self, step: int, n: int, scope: np.ndarray,
+                   trace: Optional[np.ndarray]) -> int:
+        """:func:`run_native`'s runner for this run's one lane."""
+        self.native_path.run_chunk(step, n, scope[0],
+                                   None if trace is None else trace[0])
+        return 1
 
     def _count_run(self, n_steps: int) -> None:
         """Roll the run into the process-wide metrics registry."""
@@ -777,18 +704,12 @@ class Simulator:
 
     def result(self) -> SimulationResult:
         """Assemble a :class:`SimulationResult` from the logs so far."""
-        t = self._times.array()
-        signals: dict[str, np.ndarray] = {}
-        for qname, samples in self._scope_logs.items():
-            label = getattr(self.cm.nodes[qname], "label", None) or qname
-            signals[label] = samples.array()
-        if self.options.log_all_signals and self._trace_len:
-            trace = self._signal_trace[: self._trace_len]
-            for (qname, port), idx in self.cm.sig_index.items():
-                signals.setdefault(f"{qname}:{port}", trace[:, idx].copy())
+        log = self.log
+        signals = {name: rows[0].copy()
+                   for name, rows in log.columns().items()}
         for qname in self.cm.order:
             self.cm.nodes[qname].terminate(self._ctxs[qname])
-        return SimulationResult(t, signals)
+        return SimulationResult(log.t[: log.n].copy(), signals)
 
     # ------------------------------------------------------------------
     # external access (used by the PIL/HIL co-simulation)
@@ -809,13 +730,57 @@ class Simulator:
 def advance_steps(sim, n_steps: int) -> None:
     """``n_steps`` calls of ``sim.advance()`` (a :class:`Simulator` or a
     ``BatchSimulator``), polling ``sim.options.cancel`` before each: the
-    step loop of the Python paths and of traced or hooked runs."""
+    step loop of the Python paths and of traced runs."""
     advance = sim.advance
     cancel = sim.options.cancel
     for _ in range(n_steps):
         if cancel is not None and cancel():
             raise SimulationCancelled(sim.step_index)
         advance()
+
+
+def run_native(sim, run_chunk, n_steps: int, cancel=None) -> int:
+    """``n_steps`` native major steps of ``sim`` (a :class:`Simulator` or
+    a ``BatchSimulator``) in chunks of at most ``Simulator._NATIVE_CHUNK``.
+    ``run_chunk(step, n, scope, trace)`` steps every lane, writing into
+    the chunk's destination rows of ``sim.log`` (``scope[b]`` and
+    ``trace[b]``, or a ``trace`` of None, are lane ``b``'s), and returns
+    how many thread groups ran it; this loop writes the times.  ``cancel``
+    is polled before each chunk.  Returns the most groups a chunk used."""
+    log = sim.log
+    dt = sim.options.dt
+    log.room(n_steps)
+    groups = 1
+    for done in range(0, n_steps, Simulator._NATIVE_CHUNK):
+        step = sim.step_index
+        if cancel is not None and cancel():
+            raise SimulationCancelled(step)
+        n = min(Simulator._NATIVE_CHUNK, n_steps - done)
+        rows = slice(log.n, log.n + n)
+        groups = max(groups, run_chunk(
+            step, n, log.scope[:, rows],
+            None if log.trace is None else log.trace[:, rows]))
+        # t = step * dt per step, the product advance() forms
+        log.t[rows] = np.arange(step, step + n) * dt
+        log.n += n
+        sim.step_index = step + n
+        sim.time = sim.step_index * dt
+    return groups
+
+
+def run_log(cm: CompiledModel, scope_sched, lanes: int,
+            all_signals: bool) -> RunLog:
+    """The log of ``lanes`` runs of ``cm``: each scope of ``scope_sched``
+    (``(qname, signal)`` pairs) under its label and, with
+    ``all_signals``, every signal as ``qname:port``."""
+    scopes = [getattr(cm.nodes[qname], "label", None) or qname
+              for qname, _idx in scope_sched]
+    signals = None
+    if all_signals:
+        signals = [""] * cm.n_signals
+        for (qname, port), idx in cm.sig_index.items():
+            signals[idx] = f"{qname}:{port}"
+    return RunLog(lanes, scopes, signals)
 
 
 def simulate(

@@ -7,58 +7,91 @@ process trajectories without touching the engine.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 
-class SignalLog:
-    """Growable preallocated float64 buffer for per-step logging.
+class RunLog:
+    """What a run logs, for one simulator (``B = 1``) or an ensemble of
+    ``B`` lanes, kept lane-major so that lane ``b``'s rows of a chunk
+    are contiguous — exactly what the native ``nx_run`` writes:
 
-    The engine appends one sample per major step; a Python-list log pays
-    boxing plus realloc churn on every append and a full-array conversion
-    at the end.  This keeps samples in a NumPy buffer from the start:
-    :meth:`reserve` pre-sizes it when the step count is known (``run``),
-    and incremental callers (PIL/HIL drive ``advance`` step by step) grow
-    it geometrically.
+    * ``t``: the major-step times, ``(capacity,)``;
+    * ``scope``: scope samples, ``(B, capacity, len(scopes))``, column
+      ``k`` named ``scopes[k]``;
+    * ``trace``: with ``signals`` given (``log_all_signals``), every
+      signal's row, ``(B, capacity, len(signals))``, else None.
+
+    ``n`` rows are logged.  :meth:`reserve` pre-sizes the buffers when
+    the step count is known (``run``); incremental callers (PIL/HIL drive
+    ``advance`` step by step) grow them geometrically.  A growth
+    re-allocates, so ``scope_at``/``trace_at`` — the buffers' base
+    addresses, with ``scope_row``/``trace_row`` bytes per row of lane 0
+    — are valid until the next growth.
     """
 
-    __slots__ = ("_buf", "_len")
+    def __init__(self, lanes: int, scopes: Sequence[str],
+                 signals: Optional[Sequence[str]] = None):
+        self.lanes = lanes
+        self.scopes = list(scopes)
+        self.signals = None if signals is None else list(signals)
+        self.scope_row = 8 * len(self.scopes)
+        self.trace_row = 8 * len(self.signals or ())
+        self.n = 0
+        self.t = self.scope = self.trace = self.trace_at = None
+        self._resize(0)
 
-    def __init__(self, capacity: int = 0):
-        self._buf = np.empty(max(capacity, 0))
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
+    def _resize(self, capacity: int) -> None:
+        """Re-allocate every buffer with room for ``capacity`` rows,
+        keeping the ``n`` rows logged so far."""
+        n = self.n
+        t = np.empty(capacity)
+        scope = np.empty((self.lanes, capacity, len(self.scopes)))
+        if n:
+            t[:n] = self.t[:n]
+            scope[:, :n] = self.scope[:, :n]
+        self.t, self.scope, self.scope_at = t, scope, scope.ctypes.data
+        if self.signals is not None:
+            trace = np.empty((self.lanes, capacity, len(self.signals)))
+            if n:
+                trace[:, :n] = self.trace[:, :n]
+            self.trace, self.trace_at = trace, trace.ctypes.data
+        self.capacity = capacity
 
     def reserve(self, capacity: int) -> None:
-        """Ensure room for ``capacity`` total samples."""
-        if capacity > self._buf.shape[0]:
-            new = np.empty(capacity)
-            new[: self._len] = self._buf[: self._len]
-            self._buf = new
+        """Ensure room for ``capacity`` rows in all."""
+        if capacity > self.capacity:
+            self._resize(capacity)
 
-    def append(self, value: float) -> None:
-        n = self._len
-        if n >= self._buf.shape[0]:
-            self.reserve(max(64, 2 * n))
-        self._buf[n] = value
-        self._len = n + 1
+    def room(self, k: int) -> None:
+        """Ensure room for ``k`` more rows, growing geometrically."""
+        n = self.n
+        if n + k > self.capacity:
+            self._resize(max(64, 2 * n, n + k))
 
-    def extend(self, values: np.ndarray) -> None:
-        """Append a whole chunk of samples at once (the native step-loop
-        executor returns scope columns per chunk)."""
-        k = len(values)
-        n = self._len
-        if n + k > self._buf.shape[0]:
-            self.reserve(max(64, 2 * n, n + k))
-        self._buf[n : n + k] = values
-        self._len = n + k
+    def append(self, t: float, scope, signals=None) -> None:
+        """Log one major step: its scope samples ``(B, n_scopes)`` (or
+        ``(n_scopes,)``, every lane alike) and, when the log keeps a
+        trace, its signal vector(s) shaped the same way."""
+        n = self.n
+        if n == self.capacity:
+            self.room(1)
+        self.t[n] = t
+        self.scope[:, n] = scope
+        if self.trace is not None:
+            self.trace[:, n] = signals
+        self.n = n + 1
 
-    def array(self) -> np.ndarray:
-        """The logged samples as a fresh, exactly-sized array."""
-        return self._buf[: self._len].copy()
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every logged signal as a ``(B, n)`` view: the scopes by name,
+        then each traced signal unless a scope took its name."""
+        n = self.n
+        out = {name: self.scope[:, :n, k] for k, name in enumerate(self.scopes)}
+        if self.trace is not None:
+            for k, name in enumerate(self.signals):
+                out.setdefault(name, self.trace[:, :n, k])
+        return out
 
 
 class SimulationResult(Mapping[str, np.ndarray]):

@@ -12,16 +12,14 @@ The TU is reentrant: it has no mutable file-scope state.  Every entry
 point takes an ``nx_ctx`` — a struct of pointers to buffers the Python
 executor owns (signals, continuous state, discrete work, integrator
 scratch, parameters, held-output slots) — so any number of simulators,
-on any threads, can share one loaded library.  Exported symbols:
+on any threads, can share one loaded library.  It exports one symbol:
 
-``void nx_out_major(const nx_ctx *c, long long step)`` /
-``void nx_finish(const nx_ctx *c, long long step)``
-    The two halves of one major step, split where the engine logs
-    scopes and runs ``step_hook``.
 ``void nx_run(const nx_ctx *c, long long start, long long n,
 double *scope_out, double *trace_out)``
-    The whole-loop executor: ``n`` major steps with scope rows (and
-    optionally full signal rows) written per step.
+    ``n`` major steps from step ``start``, each writing its scope row
+    (and, unless ``trace_out`` is NULL, its full signal row).  A whole
+    run calls it per chunk; a per-step ``Simulator.advance`` (the PIL
+    plant, traced runs) calls it with ``n = 1``.
 
 The TU carries structure only.  Every value a template or affine row
 emits (``BlockEmitter.lit``, affine constants and coefficients,
@@ -64,7 +62,7 @@ from repro.model.kernels import AffineRow, AffineRun, KernelPlan, _affine_spec
 
 #: Bump when emitted C changes shape — part of the disk-cache key, so
 #: stale artifacts from older emitters can never be dlopen'ed.
-TEMPLATE_VERSION = "3"
+TEMPLATE_VERSION = "4"
 
 
 class NativeLoweringError(Exception):
@@ -642,18 +640,6 @@ def _render(cm, sim, n_params, n_dwork, n_held, scope_sigs, out_lines,
         w("  deriv(c, t + DT, K4);")
         w("  for (i = 0; i < NSTATE; i++)")
         w("    X[i] = X0[i] + sixth * (K1[i] + 2.0 * K2[i] + 2.0 * K3[i] + K4[i]);")
-    w("}")
-    w("")
-    w("void nx_out_major(const nx_ctx *c, long long step)")
-    w("{")
-    w("  out_major(c, step, (double)step * DT);")
-    w("}")
-    w("")
-    w("void nx_finish(const nx_ctx *c, long long step)")
-    w("{")
-    w("  double t = (double)step * DT;")
-    w("  upd(c, step, t);")
-    w("  integrate(c, t);")
     w("}")
     w("")
     w("void nx_run(const nx_ctx *c, long long start, long long n, "

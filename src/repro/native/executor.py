@@ -6,8 +6,8 @@ buffers Python owns.  A :class:`NativePath` builds one context per
 simulator from
 
 * the engine's signal and state vectors, *borrowed* — every value the
-  C loop writes is immediately visible to Python (co-simulation taps,
-  scope logging, the step hook) without copies;
+  C loop writes is immediately visible to Python (co-simulation taps
+  between steps) without copies;
 * this instance's parameter vector (``NativeProgram.params``), discrete
   work and integrator scratch, allocated here, or the parameter and
   discrete-work vectors the caller passes (an ensemble lane's, from
@@ -17,9 +17,13 @@ simulator from
   borrowed, so a harness writes actuation into one buffer whichever
   executor runs the plant.
 
-:meth:`NativePath.run_chunk` steps a whole chunk in C and writes its
-scope (and signal) rows straight into rows the caller owns, such as one
-lane's slice of an ensemble's lane-major log.
+``nx_run`` is the artifact's one entry point.  :meth:`NativePath.run_chunk`
+steps a whole chunk in C and writes its scope (and signal) rows straight
+into rows the caller owns, such as one lane's slice of a
+:class:`~repro.model.result.RunLog`, after checking them;
+:attr:`NativePath.nx_run` is the same call unchecked, for a caller that
+checked its log once (:meth:`NativePath.check_log`) and steps one row at
+a time (``Simulator.advance``).
 
 :class:`LaneGroups` runs one chunk of every lane of an ensemble.  Each
 lane owns its context and every buffer it points into, and ``nx_run``
@@ -66,14 +70,8 @@ def load_library(so_path: str) -> ctypes.CDLL:
         if lib is None:
             lib = ctypes.CDLL(so_path)
             vp, ll = ctypes.c_void_p, ctypes.c_longlong
-            for name, argtypes in (
-                ("nx_out_major", [vp, ll]),
-                ("nx_finish", [vp, ll]),
-                ("nx_run", [vp, ll, ll, vp, vp]),
-            ):
-                fn = getattr(lib, name)
-                fn.argtypes = argtypes
-                fn.restype = None
+            lib.nx_run.argtypes = [vp, ll, ll, vp, vp]
+            lib.nx_run.restype = None
             _libs[so_path] = lib
         return lib
 
@@ -125,12 +123,9 @@ class NativePath:
                  _addr(params)]
         addrs += [_addr(b) for b in held]
         self._ctx = (ctypes.c_void_p * (_CTX_FIXED + len(held)))(*addrs)
-        ctx = ctypes.addressof(self._ctx)
-        #: ``out_major(step)`` / ``finish(step)``: the two halves of one
-        #: major step, context pre-bound
-        self.out_major = partial(lib.nx_out_major, ctx)
-        self.finish = partial(lib.nx_finish, ctx)
-        self._run = partial(lib.nx_run, ctx)
+        #: ``nx_run(start, n, scope_addr, trace_addr)`` with the context
+        #: pre-bound: no check, the caller owns the rows' addresses
+        self.nx_run = partial(lib.nx_run, ctypes.addressof(self._ctx))
 
     def run_chunk(self, start: int, n: int, scope: np.ndarray,
                   trace: Optional[np.ndarray] = None) -> None:
@@ -142,7 +137,17 @@ class NativePath:
         _check_rows("scope", scope, n, len(self.program.scope_sigs))
         if trace is not None:
             _check_rows("trace", trace, n, self.program.n_signals)
-        self._run(start, n, _addr(scope), _addr(trace))
+        self.nx_run(start, n, _addr(scope), _addr(trace))
+
+    def check_log(self, log) -> None:
+        """``log`` (a one-lane :class:`~repro.model.result.RunLog`) has
+        this program's row widths, so :attr:`nx_run` may write its rows
+        by address: a growth re-allocates the rows, never their width."""
+        _check_rows("scope", log.scope[0], log.capacity,
+                    len(self.program.scope_sigs))
+        if log.trace is not None:
+            _check_rows("trace", log.trace[0], log.capacity,
+                        self.program.n_signals)
 
 
 def _check_rows(name: str, arr, n: int, width: int) -> None:

@@ -331,7 +331,7 @@ class PILSimulator:
             self._watchdog = wd
 
         # actuation packet after every controller step --------------------
-        app.post_step_hooks.append(self._mcu_send_actuation)
+        app.post_step_callbacks.append(self._mcu_send_actuation)
 
     def _install_faults(self) -> None:
         plan = self.fault_plan

@@ -3,8 +3,8 @@
 ``Simulator.run`` and ``BatchSimulator.run`` poll the predicate before
 every chunk of at most ``Simulator._NATIVE_CHUNK`` native steps (single
 runs and native lanes alike) and before every step on the Python paths
-(FastPath, reference interpreter, numpy batch engine, traced and hooked
-runs).  A true poll raises :class:`SimulationCancelled`; a predicate
+(FastPath, reference interpreter, numpy batch engine) and in traced
+runs.  A true poll raises :class:`SimulationCancelled`; a predicate
 that never fires leaves the run bit-identical, and on native it keeps
 the chunked ``nx_run`` loop (no per-step ``advance``).
 """
@@ -65,8 +65,6 @@ def scenarios():
 #: and the most steps a run makes between two polls
 SINGLE = {
     "native": (dict(native=True), "native", CHUNK),
-    "native-hooked": (dict(native=True, step_hook=lambda t, sim: None),
-                      "native", 1),
     "kernels": (dict(native=False), "kernels", 1),
     "reference": (dict(native=False, use_kernels=False), "reference", 1),
 }

@@ -136,15 +136,6 @@ class TestEngineApi:
         with pytest.raises(RuntimeError):
             sim.advance()
 
-    def test_step_hook_called_every_major_step(self):
-        calls = []
-        opts = SimulationOptions(
-            dt=1e-3, t_final=0.01, step_hook=lambda t, e: calls.append(t)
-        )
-        Simulator(first_order_loop(), opts).run()
-        assert len(calls) == 11
-        assert calls[0] == 0.0
-
     def test_log_all_signals(self):
         opts = SimulationOptions(dt=1e-3, t_final=0.01, log_all_signals=True)
         res = Simulator(first_order_loop(), opts).run()

@@ -5,7 +5,7 @@ reference block-by-block interpreter) and ``use_kernels=True`` (the
 generated fast path) — and asserts the trajectories are **bit-identical**
 (``np.array_equal``, no tolerance).  The matrix spans the whole block
 library, both solvers, mixed rates, event-driven models, co-simulation
-injection, and the full servo case study.
+injection between steps, and the full servo case study.
 """
 
 import numpy as np
@@ -66,8 +66,19 @@ from repro.model.library import (
 from repro.model.types import INT16
 
 
-def run_both(factory, t_final=0.05, dt=1e-3, solver="rk4", hook=None):
-    """Run a freshly built model on both paths; return (ref, fast, sims).
+def run_tapped(sim, tap):
+    """Drive ``sim`` by ``advance()`` as the PIL/HIL co-simulation drives
+    its plant, calling ``tap(sim)`` before every step; return the result."""
+    sim.initialize()
+    for _ in range(int(round(sim.options.t_final / sim.options.dt)) + 1):
+        tap(sim)
+        sim.advance()
+    return sim.result()
+
+
+def run_both(factory, t_final=0.05, dt=1e-3, solver="rk4", tap=None):
+    """Run a freshly built model on both paths (stepped by hand with
+    ``tap`` between steps, when given); return (ref, fast, sims).
     Native is off on both: the subject is the Python kernel path."""
     results, sims = [], []
     for use_kernels in (False, True):
@@ -78,12 +89,11 @@ def run_both(factory, t_final=0.05, dt=1e-3, solver="rk4", hook=None):
                 t_final=t_final,
                 solver=solver,
                 log_all_signals=True,
-                step_hook=hook,
                 use_kernels=use_kernels,
                 native=False,
             ),
         )
-        results.append(sim.run())
+        results.append(sim.run() if tap is None else run_tapped(sim, tap))
         sims.append(sim)
     return results[0], results[1], sims
 
@@ -306,15 +316,18 @@ class TestStructures:
         assert_identical(ref, fast)
 
     def test_step_hook_injection(self):
-        """Co-simulation style: a hook forcing a held discrete line."""
+        """Co-simulation style: a tap between steps forcing a held
+        discrete line (the ZOH holds it until its next hit)."""
 
-        def hook(t, sim):
-            if 0.01 <= t <= 0.02:
+        def tap(sim):
+            if 0.01 <= sim.time <= 0.02:
                 sim.write_signal("hold", 0, -5.0)
 
-        ref, fast, sims = run_both(mixed_rate_model, t_final=0.1, hook=hook)
+        ref, fast, sims = run_both(mixed_rate_model, t_final=0.1, tap=tap)
         assert_fast_active(sims)
         assert_identical(ref, fast)
+        plain, _, _ = run_both(mixed_rate_model, t_final=0.1)
+        assert not np.array_equal(ref["y"], plain["y"])  # the write landed
 
     def test_use_kernels_false_disables(self):
         _, _, sims = run_both(mixed_rate_model, t_final=0.01)

@@ -1,6 +1,6 @@
 /* generated by repro.native — do not edit
  * model: rates
- * dt: 0.001  solver: euler  template: v3
+ * dt: 0.001  solver: euler  template: v4
  * bit-exact mirror of repro.model.engine reference passes
  */
 #include <math.h>
@@ -99,18 +99,6 @@ static void integrate(const nx_ctx *c, double t)
   double *X = c->X, *K1 = c->W + NSTATE;
   deriv(c, t, K1);
   for (i = 0; i < NSTATE; i++) X[i] = X[i] + DT * K1[i];
-}
-
-void nx_out_major(const nx_ctx *c, long long step)
-{
-  out_major(c, step, (double)step * DT);
-}
-
-void nx_finish(const nx_ctx *c, long long step)
-{
-  double t = (double)step * DT;
-  upd(c, step, t);
-  integrate(c, t);
 }
 
 void nx_run(const nx_ctx *c, long long start, long long n, double *scope_out, double *trace_out)

@@ -1,6 +1,6 @@
 /* generated by repro.native — do not edit
  * model: h
- * dt: 0.001  solver: rk4  template: v3
+ * dt: 0.001  solver: rk4  template: v4
  * bit-exact mirror of repro.model.engine reference passes
  */
 #include <math.h>
@@ -101,18 +101,6 @@ static void integrate(const nx_ctx *c, double t)
   deriv(c, t + DT, K4);
   for (i = 0; i < NSTATE; i++)
     X[i] = X0[i] + sixth * (K1[i] + 2.0 * K2[i] + 2.0 * K3[i] + K4[i]);
-}
-
-void nx_out_major(const nx_ctx *c, long long step)
-{
-  out_major(c, step, (double)step * DT);
-}
-
-void nx_finish(const nx_ctx *c, long long step)
-{
-  double t = (double)step * DT;
-  upd(c, step, t);
-  integrate(c, t);
 }
 
 void nx_run(const nx_ctx *c, long long start, long long n, double *scope_out, double *trace_out)

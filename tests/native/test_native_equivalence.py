@@ -24,6 +24,7 @@ from tests.model.test_kernels import (  # noqa: F401  (reuse the matrix)
     harness,
     long_hyperperiod_model,
     mixed_rate_model,
+    run_tapped,
     wide_affine_model,
 )
 from tests.native.conftest import require_cc
@@ -33,8 +34,9 @@ from tests.native.conftest import require_cc
 NATIVE_EXPECTED_FALLBACK = {"white_noise"}
 
 
-def run_both_native(factory, t_final=0.05, dt=1e-3, solver="rk4", hook=None):
-    """Reference interpreter vs forced-native; return (ref, native, sims)."""
+def run_both_native(factory, t_final=0.05, dt=1e-3, solver="rk4", tap=None):
+    """Reference interpreter vs forced-native (stepped by hand with
+    ``tap`` between steps, when given); return (ref, native, sims)."""
     results, sims = [], []
     for native in (False, True):
         sim = Simulator(
@@ -44,12 +46,11 @@ def run_both_native(factory, t_final=0.05, dt=1e-3, solver="rk4", hook=None):
                 t_final=t_final,
                 solver=solver,
                 log_all_signals=True,
-                step_hook=hook,
                 use_kernels=native,
                 native=native,
             ),
         )
-        results.append(sim.run())
+        results.append(sim.run() if tap is None else run_tapped(sim, tap))
         sims.append(sim)
     return results[0], results[1], sims
 
@@ -128,17 +129,17 @@ class TestStructures:
         assert_identical(ref, native)
 
     def test_step_hook_injection(self):
-        """Co-simulation hook forces per-step advance(); the native
-        extension still executes each major step and sees the injected
-        write through the shared signal buffer."""
+        """A co-simulation tap between per-step advance() calls: each
+        native step (one ``nx_run`` of one step) sees the injected write
+        through the shared signal buffer."""
         require_cc()
 
-        def hook(t, sim):
-            if 0.01 <= t <= 0.02:
+        def tap(sim):
+            if 0.01 <= sim.time <= 0.02:
                 sim.write_signal("hold", 0, -5.0)
 
         ref, native, sims = run_both_native(
-            mixed_rate_model, t_final=0.1, hook=hook
+            mixed_rate_model, t_final=0.1, tap=tap
         )
         assert_native_active(sims)
         assert_identical(ref, native)

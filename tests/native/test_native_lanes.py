@@ -5,9 +5,10 @@ The base model is lowered once (one ``generate_program``, one artifact);
 each lane re-emits only the blocks its scenario overrides for its own
 ``P``/``DW`` vectors.  A lane whose override selects another emitted form
 gets an artifact of its own.  Every lane stays bit-identical (atol=0) to
-its serial run, and to the numpy engine — unhooked (chunked ``nx_run``
-per lane), hooked (lockstep), and stepped by hand.  Whatever keeps the
-ensemble off native lanes is counted once and runs the numpy engine.
+its serial run, and to the numpy engine — run (chunked ``nx_run`` per
+lane) and stepped by hand (one-step chunks), with co-simulation taps
+between steps.  Whatever keeps the ensemble off native lanes is counted
+once and runs the numpy engine.
 """
 
 import numpy as np
@@ -113,25 +114,29 @@ class TestOneArtifact:
 
 
 class TestHooks:
-    def recorder(self):
+    @staticmethod
+    def tapped(sim):
+        """Step ``sim`` by hand with co-simulation taps between steps:
+        record ``plant.motor`` after every step, and right after the
+        step-50 PID sample hit force lane 1's PID output, which holds
+        (and so reaches the plant) until the next hit.  Returns the
+        rows and the result."""
+        sim.initialize()
         rows = []
-
-        def hook(t, engine):
-            rows.append(engine.read_signal("plant.motor", 0))
-            if engine.step_index == 50:  # a PID sample hit: update reads it
-                engine.write_signal("controller.err", 0, 250.0, lane=1)
-
-        return rows, hook
+        for _ in range(int(round(T_FINAL / DT)) + 1):
+            sim.advance()
+            rows.append(sim.read_signal("plant.motor", 0))
+            if sim.step_index == 51:
+                sim.write_signal("controller.pid", 0, 1.0, lane=1)
+        return rows, sim.result()
 
     def test_hooked_lockstep_equals_the_numpy_engine(self):
         require_cc()
         points = POINTS[:4]
-        rows_n, hook_n = self.recorder()
-        sim = ensemble(points, native_mode=True, step_hook=hook_n)
-        hooked = sim.run()
+        sim = ensemble(points, native_mode=True)
+        rows_n, hooked = self.tapped(sim)
         assert sim.native_active, sim.native_fallback_reason
-        rows_p, hook_p = self.recorder()
-        ref = ensemble(points, native_mode=False, step_hook=hook_p).run()
+        rows_p, ref = self.tapped(ensemble(points, native_mode=False))
         assert_same_batch(ref, hooked)
         assert len(rows_n) == len(rows_p) == len(hooked.t)
         for a, b in zip(rows_p, rows_n):

@@ -79,8 +79,11 @@ class TestGolden:
         factory, dt, solver = CASES["mixed_rate_rk4"]
         tu = tu_for(factory, dt, solver)
         assert f"template: v{TEMPLATE_VERSION}" in tu
-        for sym in ("nx_ctx", "nx_out_major", "nx_finish", "nx_run"):
+        for sym in ("nx_ctx", "nx_run"):
             assert sym in tu
+        # nx_run is the one entry point: no per-step export
+        for sym in ("nx_out_major", "nx_finish"):
+            assert sym not in tu
         # reentrant: no file-scope state, parameter tables included
         assert not [ln for ln in tu.splitlines()
                     if ln.startswith(("static double", "static const"))]

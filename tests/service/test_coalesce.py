@@ -564,6 +564,10 @@ class TestNativeLanes:
 
     def test_cancelling_every_member_cancels_the_lockstep_batch(self, substrates,
                                                                  held):
+        """Cancelling every member of a coalesced batch stops it at its
+        next cancel poll: its native lanes run in chunks with the poll
+        before each, so it stops within the first
+        ``Simulator._NATIVE_CHUNK`` steps."""
         gate, sims = held
         long_job = lambda: MILRequest(model=build_loop_model(), dt=1e-4,
                                       t_final=60.0)
