@@ -526,7 +526,7 @@ class BatchSimulator:
         except Exception as exc:  # dlopen/ABI trouble: the numpy engine
             return self._stay_on_engine(base, "compile_error",
                                         f"load failed: {exc}")
-        self._lanes = LaneGroups(lanes, len(base._sched))
+        self._lanes = LaneGroups(lanes, base._n_scheduled)
         self.S, self.X = S.T, X.T
         self._scope_sched = list(base._scope_sched)
         self._terminate = started

@@ -136,13 +136,17 @@ class Simulator:
         #: what the run logs (made in initialize)
         self.log: Optional[RunLog] = None
         self._pending_events: deque[tuple[str, int]] = deque()
-        # reference-interpreter schedules, precomputed in initialize():
+        # reference-interpreter schedules, built in initialize() only when
+        # a Python path binds:
         #   (block, ctx, in_indices, out_indices, divisor, u_scratch)
         self._sched: list[tuple] = []
         self._minor_sched: list[tuple] = []
         self._upd_sched: list[tuple] = []
         self._deriv_sched: list[tuple] = []  # (block, ctx, in_idx, off, n, u)
         self._scope_sched: list[tuple] = []  # (qname, input_index)
+        #: blocks the step loop schedules (all but triggered ones; set by
+        #: ``_start``)
+        self._n_scheduled = 0
         # RK4 work buffers; tiny state vectors (the usual case — a servo
         # plant has a handful of states) integrate through scalar Python
         # arithmetic, which beats NumPy's per-call overhead and performs
@@ -176,11 +180,11 @@ class Simulator:
     # lifecycle
     # ------------------------------------------------------------------
     def initialize(self) -> None:
-        """Allocate contexts, call every block's ``start``, build the
-        reference execution schedules, and bind the native executor or
-        else the kernel fast path (planned against the blocks' *current*
-        modes — PE peripherals may have been switched to PIL/HW after the
-        model was compiled)."""
+        """Allocate contexts, call every block's ``start``, and bind the
+        native executor or else the Python paths: the reference
+        execution schedules and the kernel fast path (planned against
+        the blocks' *current* modes — PE peripherals may have been
+        switched to PIL/HW after the model was compiled)."""
         self._start()
         # one kernel plan serves both executors; the native loop takes
         # over when it binds, else the Python passes are generated from it
@@ -190,6 +194,7 @@ class Simulator:
         if mode is not False or self.options.use_kernels:
             plan = self._plan_kernels(memo)
         if not self._bind_native(mode, plan, memo):
+            self._schedule_reference()
             self._bind_fast_path(plan)
         self.log = run_log(self.cm, self._scope_sched, 1,
                            self.options.log_all_signals)
@@ -210,11 +215,13 @@ class Simulator:
         return slot
 
     def _start(self) -> None:
-        """Start every block on a fresh context and build the reference
-        schedules."""
+        """Start every block on a fresh context over its initial states,
+        and note the scope schedule and the scheduled-block count: all
+        that a native bind reads."""
         cm = self.cm
         from .library.sinks import Scope
 
+        scheduled = 0
         for qname in cm.order:
             block = cm.nodes[qname]
             ctx = BlockContext()
@@ -228,6 +235,20 @@ class Simulator:
 
             if getattr(block, "triggerable", False):
                 continue
+            scheduled += 1
+            if isinstance(block, Scope):
+                self._scope_sched.append((qname, cm.input_map[qname][0]))
+        self._n_scheduled = scheduled
+
+    def _schedule_reference(self) -> None:
+        """Build the reference interpreter's schedules over the started
+        contexts (only a Python path steps through them)."""
+        cm = self.cm
+        for qname in cm.order:
+            block = cm.nodes[qname]
+            if getattr(block, "triggerable", False):
+                continue
+            ctx = self._ctxs[qname]
             in_idx = tuple(cm.input_map[qname])
             out_idx = tuple(cm.sig_index[(qname, p)] for p in range(block.n_out))
             divisor = cm.divisors[qname]
@@ -238,12 +259,11 @@ class Simulator:
                 self._minor_sched.append(entry)
             if type(block).update is not Block.update:
                 self._upd_sched.append(entry)
+            n = cm.state_count[qname]
             if n:
-                self._deriv_sched.append(
-                    (block, ctx, in_idx, off, n, [0.0] * len(in_idx))
-                )
-            if isinstance(block, Scope):
-                self._scope_sched.append((qname, in_idx[0]))
+                self._deriv_sched.append((block, ctx, in_idx,
+                                          cm.state_offset[qname], n,
+                                          [0.0] * len(in_idx)))
 
     def _plan_kernels(self, memo: Optional[_Lowered] = None):
         """The kernel plan against the blocks' current modes, or the
@@ -372,7 +392,7 @@ class Simulator:
             return None
         if mode == "auto":
             n_steps = int(round(self.options.t_final / self.options.dt)) + 1
-            block_steps = n_steps * max(1, len(self._sched)) * lanes
+            block_steps = n_steps * max(1, self._n_scheduled) * lanes
             if block_steps < NATIVE_AUTO_THRESHOLD:
                 mode = "reuse"
         from ..native import (

@@ -93,7 +93,31 @@ def _default_extract(block: Block) -> dict:
     return params
 
 
+#: value types a document holds as they are (exact types: a subclass
+#: such as ``np.float64`` or an ``IntEnum`` takes the full check)
+_PLAIN = frozenset({float, int, str, bool, type(None)})
+
+
 def _jsonify(value: Any) -> Any:
+    """``value`` as a document value: the common shapes by exact type
+    (a plain value as it is, a list, tuple or dict of plain values
+    copied in one pass), everything else through :func:`_jsonify_any`.
+    Both give the same result."""
+    t = type(value)
+    if t in _PLAIN:
+        return value
+    if t is list or t is tuple:
+        out = [v for v in value if type(v) in _PLAIN]
+        if len(out) == len(value):
+            return out
+    elif t is dict:
+        out = {k: v for k, v in value.items() if type(v) in _PLAIN}
+        if len(out) == len(value):
+            return out
+    return _jsonify_any(value)
+
+
+def _jsonify_any(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
@@ -190,6 +214,12 @@ def load_model(path: str) -> Model:
 # ---------------------------------------------------------------------------
 # content hashing
 # ---------------------------------------------------------------------------
+#: the content hash's JSON writer, made once: ``json.dumps`` builds an
+#: encoder per call.  No circular check — a document is a tree.
+_HASH_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                 check_circular=False)
+
+
 def doc_content_hash(
     doc: dict,
     dt: Optional[float] = None,
@@ -204,7 +234,7 @@ def doc_content_hash(
     instances, no dict iteration order.
     """
     payload = {"doc": doc, "dt": dt, "solver": solver}
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    text = _HASH_ENCODER.encode(payload)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

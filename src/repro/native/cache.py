@@ -1,26 +1,29 @@
 """Toolchain discovery and the on-disk compile cache.
 
 Artifacts are keyed by ``sha256(TU sha | compiler fingerprint)``; the
-fingerprint carries the compiler version, the host architecture and the
-template version, so artifacts never cross a toolchain or emitter
-change.  The TU text is the whole of what the artifact computes: block
-parameters travel in the context (``P``, see :mod:`repro.native.emit`),
-so the TU sha already is the model's structural identity, and every
-design point of one diagram shares one artifact.  SimServe warm jobs,
-new design points and process-pool children therefore ``dlopen`` an
-existing ``.so`` instead of recompiling.  The lookup hashes the TU text
-on every bind.  The text itself is regenerated in-process (cheap,
-deterministic) for every new compiled model, and kept across runs by
-one that memoizes its lowering (SimServe's cached models, see
-``CompiledModel.lowering_memo``), so a warm SimServe job renders
-nothing.
+fingerprint carries the compiler version, the host architecture, the
+template version and :data:`CFLAGS`, so artifacts never cross a
+toolchain, emitter or flags change.  The TU text is the whole of what
+the artifact computes: block parameters travel in the context (``P``,
+see :mod:`repro.native.emit`), so the TU sha already is the model's
+structural identity, and every design point of one diagram shares one
+artifact.  SimServe warm jobs, new design points and process-pool
+children therefore ``dlopen`` an existing ``.so`` instead of
+recompiling.  The lookup hashes each
+distinct TU text once per process and creates each cache directory once
+per path; every bind still checks that the ``.so`` exists.  The text
+itself is regenerated in-process (cheap, deterministic) for every new
+compiled model, and kept across runs by one that memoizes its lowering
+(SimServe's cached models, see ``CompiledModel.lowering_memo``), so a
+warm SimServe job renders and hashes nothing.
 
 Layout under the cache dir (``$REPRO_NATIVE_CACHE`` or
 ``~/.cache/repro-native``): ``<key>.c``, ``<key>.so``, ``<key>.json``
 (stats sidecar).  Writes go through a temp file + ``os.replace`` so
 concurrent processes never observe a half-written artifact.  A cache
 directory that cannot be created or written raises
-:class:`ToolchainError`, like a failed compile.
+:class:`ToolchainError`, like a failed compile; a build re-creates a
+directory removed since its first use.
 
 Builds are single-flight per key within a process: the first caller
 runs ``cc``, later callers wait for it (:func:`ensure_compiled`) or
@@ -57,8 +60,11 @@ class ToolchainError(Exception):
 
 #: flags that pin IEEE-754 semantics: no fast-math value substitution,
 #: no FMA contraction (contraction would change the association order
-#: the Python reference performs)
-CFLAGS = ["-O2", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
+#: the Python reference performs).  ``-O1``, not ``-O2``: the step loop
+#: is scalar, ``-O2``'s SLP vectorizer slows it, and ``cc`` runs faster.
+#: Part of the fingerprint, so a flags change never serves an artifact
+#: built under the old flags.
+CFLAGS = ["-O1", "-fPIC", "-shared", "-fno-fast-math", "-ffp-contract=off"]
 
 _lock = threading.Lock()
 #: ``(path,)`` once discovery ran (path ``None``: no usable compiler)
@@ -96,12 +102,13 @@ def _probe_fingerprint(cc: str) -> Optional[str]:
         first = (out.stdout or out.stderr).splitlines()[0].strip()
     except Exception:
         return None
-    return f"{first}|{platform.machine()}|v{TEMPLATE_VERSION}"
+    return (f"{first}|{platform.machine()}|v{TEMPLATE_VERSION}"
+            f"|{' '.join(CFLAGS)}")
 
 
 def compiler_fingerprint(cc: Optional[str] = None) -> Optional[str]:
-    """Version/arch/template string folded into the cache key, probed
-    once per resolved compiler path."""
+    """Version/arch/template/flags string folded into the cache key,
+    probed once per resolved compiler path."""
     cc = cc or find_cc()
     if cc is None:
         return None
@@ -114,15 +121,47 @@ def compiler_fingerprint(cc: Optional[str] = None) -> Optional[str]:
     return fp
 
 
+#: cache directories created (or found) in this process
+_made_dirs: set[str] = set()
+
+
 def cache_dir() -> str:
+    """The cache directory, created on its first use in this process."""
     d = os.environ.get("REPRO_NATIVE_CACHE")
     if not d:
         d = os.path.join(os.path.expanduser("~"), ".cache", "repro-native")
+    if d not in _made_dirs:
+        _make_dir(d)
+        _made_dirs.add(d)
+    return d
+
+
+def _make_dir(d: str) -> None:
     try:
         os.makedirs(d, exist_ok=True)
     except OSError as exc:
         raise ToolchainError(f"native cache directory unusable: {exc}") from exc
-    return d
+
+
+#: TU text -> its sha256, so each distinct TU is hashed once per process
+#: however often it binds (emptied when it reaches :data:`_TU_SHAS_MAX`).
+#: No lock: threads racing on one text store the same digest.
+_tu_shas: dict[str, str] = {}
+_TU_SHAS_MAX = 256
+
+
+def _tu_sha(source: str) -> str:
+    sha = _tu_shas.get(source)
+    if sha is None:
+        sha = _tu_digest(source)
+        if len(_tu_shas) >= _TU_SHAS_MAX:
+            _tu_shas.clear()
+        _tu_shas[source] = sha
+    return sha
+
+
+def _tu_digest(source: str) -> str:
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def artifact_key(tu_sha: str, fingerprint: str) -> str:
@@ -264,7 +303,7 @@ class _Artifact:
         self.cc = cc
         self.fingerprint = fp
         self.source = source
-        self.tu_sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
+        self.tu_sha = _tu_sha(source)
         self.key = artifact_key(self.tu_sha, fp)
         self.dir = cache_dir()
         self.so_path = os.path.join(self.dir, f"{self.key}.so")
@@ -312,6 +351,7 @@ def _build(art: _Artifact, build: _Build) -> None:
     """The leader's compile; always releases the followers."""
     try:
         _count("misses")
+        _make_dir(art.dir)  # removed since this process first made it
         c_path = os.path.join(art.dir, f"{art.key}.c")
         _atomic_write(c_path, art.source)
         t0 = perf_counter()

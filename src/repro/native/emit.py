@@ -62,7 +62,7 @@ from repro.model.kernels import AffineRow, AffineRun, KernelPlan, _affine_spec
 
 #: Bump when emitted C changes shape — part of the disk-cache key, so
 #: stale artifacts from older emitters can never be dlopen'ed.
-TEMPLATE_VERSION = "4"
+TEMPLATE_VERSION = "5"
 
 
 class NativeLoweringError(Exception):

@@ -126,9 +126,9 @@ def _np_clip(em, v: str, lo: float, hi: float) -> str:
 
 def _u16_wrap(em, v: str) -> str:
     """C for Python's ``int(v) % 65536`` (truncate, then non-negative
-    modulo)."""
+    modulo; ``+ 0.0`` turns a -0.0 into the int's +0.0)."""
     r = em.tmp()
-    em.line(f"double {r} = fmod(trunc({v}), 65536.0);")
+    em.line(f"double {r} = fmod(trunc({v}), 65536.0) + 0.0;")
     em.line(f"if ({r} < 0.0) {r} += 65536.0;")
     return r
 
@@ -615,7 +615,7 @@ class _DataTypeConversion(NativeTemplate):
             em.line(f"  {q} = ({q} >= 0.0) ? floor({q} + 0.5) : ceil({q} - 0.5);")
         em.line(f"  if ({q} < {rmin}) {q} = {rmin}; "
                 f"else if ({q} > {rmax}) {q} = {rmax};")
-        em.line(f"  {r} = {q};")
+        em.line(f"  {r} = {q} + 0.0;")  # the raw int's +0.0, never -0.0
         em.line("}")
         em.line(f"{em.y(0)} = {r} * {scale};")
 
@@ -809,7 +809,8 @@ class _IRCEncoder(NativeTemplate):
         em.line(f"double {turns} = {em.u(0)} / {em.lit(2 * math.pi)};")
         em.line(f"double {counts} = floor({turns} * {em.lit(float(b._cpr))});")
         em.line(f"double {frac} = {turns} - floor({turns});")
-        em.line(f"double {r} = fmod({counts}, 65536.0);")
+        # ``+ 0.0``: the int count's +0.0, never -0.0
+        em.line(f"double {r} = fmod({counts}, 65536.0) + 0.0;")
         em.line(f"if ({r} < 0.0) {r} += 65536.0;")
         em.line(f"{em.y(0)} = {r};")
         em.line(f"{em.y(1)} = ({frac} < {em.lit(b._index_width)}) ? 1.0 : 0.0;")
@@ -842,9 +843,10 @@ class _ADCBlock(NativeTemplate):
         raw_max = (1 << bits) - 1
         span = b.vref_high - b.vref_low
         c = em.tmp()
+        # ``+ 0.0``: the int code's +0.0, never -0.0
         em.line(
             f"double {c} = trunc((({em.u(0)} - {em.lit(b.vref_low)}) / "
-            f"{em.lit(span)}) * {em.lit(float(raw_max + 1))});"
+            f"{em.lit(span)}) * {em.lit(float(raw_max + 1))}) + 0.0;"
         )
         em.line(f"{c} = (0.0 > {c}) ? 0.0 : {c};")
         em.line(f"{em.y(0)} = ({em.lit(float(raw_max))} < {c}) ? "

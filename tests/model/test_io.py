@@ -1,5 +1,6 @@
 """Tests for model persistence (save/load round trips)."""
 
+import enum
 import json
 
 import numpy as np
@@ -273,6 +274,75 @@ class TestCanonicalDocument:
             "cf6c2fd478e23c3fce4edb3a11f61e6af96d43887a22b937789eaebb727f3d93")
         assert model_content_hash(build_servo_model(ServoConfig(setpoint=100.0)).model) == (
             "746a74f93d7861312a7da629473b3dcd768c06ea348f70aa3e4ce092cb074e31")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def _written(value):
+    """``("ok", result)`` or ``("raises", type, message)`` for a
+    ``_jsonify``-like call."""
+    from repro.model import io
+
+    def outcome(fn):
+        try:
+            return ("ok", fn(value))
+        except Exception as exc:  # noqa: BLE001 - compared below
+            return ("raises", type(exc), str(exc))
+
+    return outcome(io._jsonify), outcome(io._jsonify_any)
+
+
+def _typed(value):
+    """``value`` with every leaf's exact type, so 1, 1.0 and True differ."""
+    if isinstance(value, list):
+        return ("list", [_typed(v) for v in value])
+    if isinstance(value, dict):
+        return ("dict", {k: _typed(v) for k, v in value.items()})
+    return (type(value), value)
+
+
+class TestJsonify:
+    """The exact-type fast path of ``_jsonify`` returns what the
+    isinstance chain (``_jsonify_any``) returns, or raises what it
+    raises."""
+
+    @pytest.mark.parametrize("value", [
+        np.float64(0.1), np.float32(0.1), np.int64(7), np.bool_(True),
+        np.array([[1.0, 2.5], [3.0, -0.0]]), np.array([1, 2], dtype=np.int32),
+        (1, 2.5, "a", None, True), [True, 1, False, 0, 1.0],
+        [np.float64(2.0), 3.0], (np.int64(1), (2, 3)),
+        {"a": {"b": [1, np.float64(2.0)], "c": (3,)}, "d": None},
+        {"kp": 0.5, "on": True, "n": 3}, {"x": np.float32(0.25)},
+        _Level.HIGH, [_Level.LOW, 2], {"level": _Level.HIGH},
+        [], (), {}, "text", 0, -0.0, float("inf"), None, False,
+    ], ids=repr)
+    def test_fast_path_matches_the_chain(self, value):
+        fast, chain = _written(value)
+        assert fast[0] == chain[0]
+        if fast[0] == "raises":
+            assert fast == chain
+        else:
+            assert _typed(fast[1]) == _typed(chain[1])
+            assert json.dumps(fast[1]) == json.dumps(chain[1])
+
+    @pytest.mark.parametrize("value", [
+        lambda x: x, print, [1.0, len], {"f": lambda: 0}, (object(),),
+    ], ids=["lambda", "builtin", "list", "dict", "object"])
+    def test_unserialisable_values_still_raise(self, value):
+        from repro.model import io
+
+        with pytest.raises(ModelError, match="cannot serialise"):
+            io._jsonify(value)
+
+    def test_containers_are_copied(self):
+        from repro.model import io
+
+        for value in ([1.0, 2.0], {"a": 1.0}):
+            assert io._jsonify(value) == value
+            assert io._jsonify(value) is not value
 
 
 class TestUnserializable:

@@ -1,6 +1,6 @@
 /* generated by repro.native — do not edit
  * model: rates
- * dt: 0.001  solver: euler  template: v4
+ * dt: 0.001  solver: euler  template: v5
  * bit-exact mirror of repro.model.engine reference passes
  */
 #include <math.h>

@@ -72,7 +72,7 @@ class TestAutoRung:
         n_steps = NATIVE_AUTO_THRESHOLD // CHAIN_BLOCKS
         sim = chain_sim(n_steps)
         sim.initialize()
-        assert len(sim._sched) == CHAIN_BLOCKS
+        assert sim._n_scheduled == CHAIN_BLOCKS
         assert sim.native_active, sim.native_fallback_reason
         assert native_cache_stats()["misses"] == misses + 1
 

@@ -188,3 +188,71 @@ class TestFastPathOnlyAsFallback:
         sim.initialize()
         assert sim.native_fallback_reason.startswith("plan_refused")
         assert sim.fast_path is not None
+
+
+class TestReferenceSchedulesOnlyAsFallback:
+    """The reference interpreter's schedules are built only when a Python
+    path binds; a native bind reads the contexts, the scope schedule and
+    the scheduled-block count alone."""
+
+    @pytest.fixture
+    def schedules(self, monkeypatch):
+        """Every Simulator that built its reference schedules, in order."""
+        built = []
+        real = Simulator._schedule_reference
+
+        def counted(sim):
+            built.append(sim)
+            real(sim)
+
+        monkeypatch.setattr(Simulator, "_schedule_reference", counted)
+        return built
+
+    def _servo(self, native, **kwargs):
+        return Simulator(servo_factory(*SWEEP[0])().compile(DT),
+                         SimulationOptions(dt=DT, t_final=0.02, native=native,
+                                           log_all_signals=True, **kwargs))
+
+    def test_native_bound_sim_builds_no_reference_schedule(self, schedules):
+        require_cc()
+        sim = self._servo(True)
+        res = sim.run()
+        assert sim.native_active, sim.native_fallback_reason
+        assert schedules == []
+        assert sim._sched == sim._minor_sched == sim._upd_sched == []
+        assert sim._deriv_sched == []
+        cm = sim.cm
+        assert sim._n_scheduled == sum(
+            not getattr(cm.nodes[q], "triggerable", False) for q in cm.order)
+        assert [q for q, _i in sim._scope_sched]  # the log still has its scopes
+        assert_identical(self._servo(False, use_kernels=False).run(), res)
+
+    @pytest.mark.parametrize("use_kernels", [True, False])
+    def test_env_off_builds_them_and_stays_exact(
+            self, schedules, monkeypatch, use_kernels):
+        require_cc()
+        native = self._servo(True).run()
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+        sim = self._servo(True, use_kernels=use_kernels)
+        res = sim.run()
+        assert sim.native_fallback_reason == "disabled"
+        assert schedules == [sim]
+        assert len(sim._sched) == sim._n_scheduled
+        assert (sim.fast_path is not None) == use_kernels
+        assert_identical(native, res)
+
+    def test_compile_pending_builds_them_and_stays_exact(self, schedules):
+        require_cc()
+        from repro.native import wait_pending
+
+        assert wait_pending(120)
+        sim = self._servo("reuse")
+        res = sim.run()
+        assert sim.native_fallback_reason == "compile_pending"
+        assert schedules == [sim]
+        assert wait_pending(120)
+        bound = self._servo("reuse")
+        native = bound.run()
+        assert bound.native_active, bound.native_fallback_reason
+        assert schedules == [sim]
+        assert_identical(native, res)

@@ -3,6 +3,7 @@ model plans and lowers nothing, and stays bit-identical (atol=0) to the
 Python path.  A model the caller holds never memoizes, an ensemble
 never reads the memo, and a refusal is memoized but still counted."""
 
+import shutil
 import sys
 import threading
 
@@ -106,6 +107,32 @@ class TestRepeatJob:
         assert sim.native_active, sim.native_fallback_reason
         assert sim.fast_path is None
         assert_identical(python_run(servo_sweep_model(bandwidth_hz=6.0)), served)
+
+    def test_warm_job_after_its_cache_directory_was_removed(
+            self, tmp_path, monkeypatch, started):
+        """A cache directory is created once per path and process, so a
+        warm job whose directory was removed since finds no artifact: it
+        runs on Python while the build re-creates the directory, then
+        binds it again, bit-equal throughout."""
+        require_cc()
+        cache_dir = tmp_path / "native-cache"
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache_dir))
+        monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        ref = python_run(servo_sweep_model(bandwidth_hz=6.0))
+        with SimServe(workers=1) as svc:
+            svc.submit(servo_job()).result(timeout=60.0)  # the cache miss
+            assert wait_pending(120)
+            shutil.rmtree(cache_dir)
+            handle = svc.submit(servo_job())
+            served = handle.result(timeout=60.0)
+            assert handle.record().cache_hit
+            assert started[-1].native_fallback_reason == "compile_pending"
+            assert_identical(ref, served)
+            assert wait_pending(120)
+            assert list(cache_dir.glob("*.so"))
+            again = svc.submit(servo_job()).result(timeout=60.0)
+            assert started[-1].native_active, started[-1].native_fallback_reason
+        assert_identical(ref, again)
 
     def test_each_solver_keeps_its_own_lowering(self, lowerings, started):
         require_cc()
