@@ -1100,6 +1100,11 @@ def main(argv=None) -> int:
     if args.only and (args.check or args.update):
         ap.error("--only cannot be combined with --check/--update "
                  "(partial reports must not gate or overwrite the baseline)")
+    if args.check and not args.update and not args.out.exists():
+        # a gate with nothing to compare against must fail, not pass
+        print(f"no baseline at {args.out}: --check compares against one "
+              "(record it with --update)", file=sys.stderr)
+        return 2
 
     fresh = measure(args.workers, only=args.only)
     if "engine" in fresh:
@@ -1209,19 +1214,16 @@ def main(argv=None) -> int:
 
     status = 0
     if args.check and not args.update:
-        if args.out.exists():
-            baseline = json.loads(args.out.read_text())
-            failures = check(fresh, baseline, args.strict_absolute)
-            if failures:
-                print("\nPERF REGRESSION:", file=sys.stderr)
-                for f in failures:
-                    print(f"  - {f}", file=sys.stderr)
-                status = 1
-            else:
-                print("perf check OK (within "
-                      f"{TOLERANCE:.0%} of committed baseline)")
+        baseline = json.loads(args.out.read_text())
+        failures = check(fresh, baseline, args.strict_absolute)
+        if failures:
+            print("\nPERF REGRESSION:", file=sys.stderr)
+            for f in failures:
+                print(f"  - {f}", file=sys.stderr)
+            status = 1
         else:
-            print(f"no baseline at {args.out}; writing one", file=sys.stderr)
+            print("perf check OK (within "
+                  f"{TOLERANCE:.0%} of committed baseline)")
     if status == 0 or args.update:
         args.out.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}")

@@ -9,8 +9,9 @@ pays the full per-step interpreter cost per variant; running them as
 :class:`BatchSimulator` has two executors.  The first is **native
 lanes**: when the model lowers to C (:mod:`repro.native`), every lane is
 one context on one compiled artifact — block parameters are context
-data (``P``), so lanes differ only in their ``P``/``DW`` vectors, made
-by re-emitting just the blocks the scenarios override
+data (``P``), so lanes differ only in their rows of one ``(B, n)``
+``P``/``DW`` matrix each, made by re-emitting just the blocks each
+lane's own scenario overrides
 (:meth:`~repro.native.emit.NativeProgram.relower`).  A lane whose
 override selects another emitted form (a gain of exactly -1) gets an
 artifact of its own.  Each lane runs whole chunks in C, writing its
@@ -181,6 +182,50 @@ class _BatchEntry:
         off = self.off
         for k in range(self.n_states):
             xdot[off + k] = rows[k]
+
+
+class _LaneForm:
+    """One emitted form of an ensemble's native lanes: its program and
+    artifact, and what its lanes change in the program's own vectors,
+    which were lowered from the base blocks and ``lowered_from`` (the
+    clones of the lane that needed this form; none for the base form)."""
+
+    __slots__ = ("program", "so_path", "base", "lowered_from", "edits")
+
+    def __init__(self, program, so_path: str, base: Simulator,
+                 lowered_from: Sequence[str] = ()):
+        self.program = program
+        self.so_path = so_path
+        self.base = base
+        self.lowered_from = lowered_from
+        #: ``{qname: (lanes, P values, DW values)}`` for
+        #: :meth:`~repro.native.emit.NativeProgram.lane_vectors`
+        self.edits: dict[str, tuple] = {}
+
+    def relower(self, clones: Mapping[str, tuple], lane: int) -> bool:
+        """Note lane ``lane``'s edits: its ``clones`` re-emitted, and the
+        base blocks where this form was lowered from clones the lane does
+        not share.  ``False`` when they render another form."""
+        blocks = clones
+        if self.lowered_from:
+            base = self.base
+            blocks = {q: (base.cm.nodes[q], base._ctxs[q])
+                      for q in self.lowered_from}
+            blocks.update(clones)
+        got = self.program.relower(blocks)
+        if got is None:
+            return False
+        for qname, (values, dwork) in got.items():
+            lanes, params, dworks = self.edits.setdefault(qname, ([], [], []))
+            lanes.append(lane)
+            params.append(values)
+            dworks.append(dwork)
+        return True
+
+    def lanes(self, n_lanes: int) -> tuple:
+        """``(program, so_path, P, DW)`` with this form's lane matrices."""
+        return (self.program, self.so_path,
+                *self.program.lane_vectors(n_lanes, self.edits))
 
 
 class _LaneEntry:
@@ -421,11 +466,13 @@ class BatchSimulator:
             return False
         return True
 
-    def _clone_for_lane(self, block: Block, qname: str, lane: int) -> Block:
+    def _clone_for_lane(self, block: Block, qname: str, lane: int,
+                        deep: bool = True) -> Block:
         """A lane-private copy (blocks like FunctionCallSubsystem keep
         executor state on ``self``, so sharing one instance across lanes
-        would entangle them), with that lane's overrides applied."""
-        clone = copy.deepcopy(block)
+        would entangle them), deep or else shallow, with that lane's
+        overrides applied."""
+        clone = copy.deepcopy(block) if deep else copy.copy(block)
         for attr, value in self.scenarios[lane].overrides.get(qname, {}).items():
             try:
                 setattr(clone, attr, value)
@@ -469,12 +516,17 @@ class BatchSimulator:
 
         The base model goes once through the engine's native rung (one
         plan, one ``generate_program``, one artifact).  Each lane then
-        re-emits only the overridden blocks, on its own started clones,
-        for its ``P``/``DW`` vectors; a lane whose clones render another
-        form lowers a TU of its own through the same rung.  Any refusal
-        leaves the whole ensemble to the numpy engine, with the rung's
-        reason counted once.  The shared compiled model is never mutated:
-        forms are lowered from shallow copies holding the clones."""
+        starts shallow clones of the blocks its own scenario overrides
+        and re-emits only those
+        (:meth:`~repro.native.emit.NativeProgram.relower`); a lane whose
+        clones render another form lowers a TU of its own through the
+        same rung.  Each form's ``P`` and ``DW`` vectors then fill one
+        ``(B, n)`` matrix each, with every lane's re-emitted values
+        written into its row, and each lane's context points into its
+        rows.  Any refusal leaves the whole ensemble to the numpy engine,
+        with the rung's reason counted once.  The shared compiled model
+        is never mutated: forms are lowered from shallow copies holding
+        the clones."""
         cm, B = self.cm, self.n_lanes
         base = Simulator(cm, self.options)
         mode = base._native_mode()
@@ -485,48 +537,43 @@ class BatchSimulator:
         if artifact is None:
             return self._stay_on_engine(base)
         if artifact[0].held:
-            return self._stay_on_engine(
-                base, "plan_refused", "held outputs are shared by every lane")
-        overridden = sorted({q for sc in self.scenarios for q in sc.overrides})
+            return self._refuse_held(base)
+        forms = [_LaneForm(*artifact, base)]
         S = np.zeros((B, cm.n_signals))
-        X = np.zeros((B, cm.n_states))
+        X = np.empty((B, cm.n_states))
+        X[:] = base.x
         started = [(cm.nodes[q], base._ctxs[q]) for q in cm.order]
-        forms = [artifact]
-        bound = []
+        lane_forms = []
         for b, sc in enumerate(self.scenarios):
-            X[b] = base.x
-            blocks = {q: self._start_clone(q, b, X[b]) if q in sc.overrides
-                      else (cm.nodes[q], base._ctxs[q]) for q in overridden}
-            started += [blocks[q] for q in sc.overrides]
-            for program, so_path in forms:
-                vectors = program.relower(blocks)
-                if vectors is not None:
+            x = X[b]
+            clones = {q: self._start_clone(q, b, x) for q in sc.overrides}
+            started += clones.values()
+            for f, form in enumerate(forms):
+                if form.relower(clones, b):
                     break
             else:
                 form_cm = copy.copy(cm)
                 form_cm.nodes = {**cm.nodes,
-                                 **{q: blk for q, (blk, _c) in blocks.items()}}
+                                 **{q: blk for q, (blk, _c) in clones.items()}}
                 form_cm.lowering_memo = None  # the base's lowering, not the clones'
                 sim = Simulator(form_cm, self.options)
                 sim._start()
-                form = sim._native_artifact(mode, sim._plan_kernels(), lanes=B)
-                if form is None:
+                artifact = sim._native_artifact(mode, sim._plan_kernels(), lanes=B)
+                if artifact is None:
                     return self._stay_on_engine(sim)
-                forms.append(form)
-                program, so_path = form
-                vectors = (None, None)  # the program's own vectors
-            bound.append((program, so_path, vectors))
-        from ..native.executor import LaneGroups, NativePath
+                if artifact[0].held:
+                    return self._refuse_held(sim)
+                forms.append(_LaneForm(*artifact, base, tuple(clones)))
+                f = len(forms) - 1
+            lane_forms.append(f)
+        from ..native.executor import LaneGroups
 
         try:
-            lanes = [
-                NativePath(program, so_path, S[b], X[b], params=p, dwork=dw)
-                for b, (program, so_path, (p, dw)) in enumerate(bound)
-            ]
+            self._lanes = LaneGroups(S, X, [f.lanes(B) for f in forms],
+                                     lane_forms, base._n_scheduled)
         except Exception as exc:  # dlopen/ABI trouble: the numpy engine
             return self._stay_on_engine(base, "compile_error",
                                         f"load failed: {exc}")
-        self._lanes = LaneGroups(lanes, base._n_scheduled)
         self.S, self.X = S.T, X.T
         self._scope_sched = list(base._scope_sched)
         self._terminate = started
@@ -534,23 +581,32 @@ class BatchSimulator:
             "lanes": B,
             "substrate": "native",
             "forms": len(forms),
-            "overridden_blocks": len(overridden),
+            "overridden_blocks": len({q for sc in self.scenarios
+                                      for q in sc.overrides}),
             "lane_groups": len(self._lanes.groups),
         }
         return True
 
     def _start_clone(self, qname: str, lane: int, x: np.ndarray):
-        """``(clone, ctx)``: lane ``lane``'s copy of ``qname`` started on
-        a fresh context over the lane's state row ``x``."""
+        """``(clone, ctx)``: lane ``lane``'s shallow copy of ``qname``
+        started on a fresh context over the lane's state row ``x``.  No
+        block method runs per step on native lanes, so the clone shares
+        the model block's nested values; the numpy engine, which calls
+        them, deep-copies (:meth:`_clone_for_lane`)."""
         cm = self.cm
-        block = self._clone_for_lane(cm.nodes[qname], qname, lane)
-        off, n = cm.state_offset[qname], cm.state_count[qname]
-        if n:
-            x[off : off + n] = np.asarray(block.initial_continuous_states())
+        block = self._clone_for_lane(cm.nodes[qname], qname, lane, deep=False)
+        n = cm.state_count[qname]
         ctx = BlockContext()
-        ctx.x = x[off : off + n]
+        if n:
+            off = cm.state_offset[qname]
+            x[off : off + n] = np.asarray(block.initial_continuous_states())
+            ctx.x = x[off : off + n]
         block.start(ctx)
         return block, ctx
+
+    def _refuse_held(self, sim: Simulator) -> bool:
+        return self._stay_on_engine(
+            sim, "plan_refused", "held outputs are shared by every lane")
 
     def _stay_on_engine(self, sim: Simulator, reason: Optional[str] = None,
                         detail: str = "") -> bool:

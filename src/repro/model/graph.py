@@ -10,6 +10,7 @@ generator (:mod:`repro.codegen`) consume, which is precisely the paper's
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -34,6 +35,18 @@ class EventConnection:
     src: str
     event_port: int
     dst: str
+
+
+def _port(value) -> int:
+    """A port number as a plain ``int``: a numpy integer would reach the
+    model document as it is, which JSON cannot write."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ModelError(
+            f"a port number must be an integer, not {type(value).__name__} "
+            f"{value!r}"
+        ) from None
 
 
 class Model:
@@ -123,9 +136,12 @@ class Model:
         src_port: int = 0,
         dst_port: int = 0,
     ) -> Connection:
-        """Wire a data line between two blocks already in the diagram."""
+        """Wire a data line between two blocks already in the diagram.
+        Ports may be any integers (numpy's too); they are stored as
+        ``int``."""
         s = self._resolve(src)
         d = self._resolve(dst)
+        src_port, dst_port = _port(src_port), _port(dst_port)
         if not (0 <= src_port < s.n_out):
             raise ModelError(f"block '{s.name}' has no output port {src_port}")
         if not (0 <= dst_port < d.n_in):
@@ -145,6 +161,7 @@ class Model:
         """
         s = self._resolve(src)
         d = self._resolve(dst)
+        event_port = _port(event_port)
         if not (0 <= event_port < s.n_events):
             raise ModelError(f"block '{s.name}' has no event port {event_port}")
         if not getattr(d, "triggerable", False):

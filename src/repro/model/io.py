@@ -45,8 +45,8 @@ FORMAT_VERSION = 1
 
 class _Codec(NamedTuple):
     cls: Type[Block]
-    #: block -> parameter dict
-    extract: Callable[[Block], dict]
+    #: block -> its node's parameters, as document values
+    params: Callable[[Block], dict]
     #: (name, **params) -> block
     load: Callable[..., Block]
 
@@ -66,7 +66,8 @@ def register_block_class(
     constructor keywords, read back off same-named attributes);
     ``load(name, **params)`` rebuilds the block (default: ``cls``).
     """
-    _CODECS[cls.__name__] = _Codec(cls, extract or _default_extract, load or cls)
+    get = extract or _default_extract
+    _CODECS[cls.__name__] = _Codec(cls, lambda b: _jsonify(get(b)), load or cls)
 
 
 @functools.cache
@@ -152,7 +153,7 @@ def block_to_dict(block: Block) -> dict:
     return {
         "type": cls.__name__,
         "name": block.name,
-        "params": _jsonify(codec.extract(block)),
+        "params": codec.params(block),
     }
 
 
@@ -327,7 +328,8 @@ def _register_standard() -> None:
     )
 
     def subsystem(cls) -> None:
-        register_block_class(
+        # the interior is written as a document already: taken as it is
+        _CODECS[cls.__name__] = _Codec(
             cls,
             lambda b: {"inner": model_to_dict(b.inner)},
             lambda name, inner: cls(name, inner=model_from_dict(inner)),

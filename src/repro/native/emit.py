@@ -58,7 +58,7 @@ from typing import Any, Mapping, Optional
 import numpy as np
 
 from repro.model.block import Block
-from repro.model.kernels import AffineRow, AffineRun, KernelPlan, _affine_spec
+from repro.model.kernels import AffineRun, KernelPlan, _affine_spec
 
 #: Bump when emitted C changes shape — part of the disk-cache key, so
 #: stale artifacts from older emitters can never be dlopen'ed.
@@ -83,18 +83,17 @@ def clit(v: float) -> str:
     return f"({h})" if h.startswith("-") else h
 
 
-def _affine_c(row: AffineRow, tu: "_TU") -> str:
-    """C mirror of :func:`repro.model.kernels._affine_expr` — identical
-    term order and association (C ``+``/``-`` are left-associative and
-    ``*`` binds tighter, exactly like the Python expression).  The
-    constant and every coefficient but ±1 are parameter slots."""
-    def param(v: float) -> str:
-        return tu.param(v, row.qname)
-
+def _affine_c(const: float, coeffs, in_sigs, tu: "_TU") -> str:
+    """C mirror of :func:`repro.model.kernels._affine_expr` for one
+    :class:`~repro.model.kernels.AffineRow` — identical term order and
+    association (C ``+``/``-`` are left-associative and ``*`` binds
+    tighter, exactly like the Python expression).  The constant and every
+    coefficient but ±1 are parameter slots of the block being emitted."""
+    param = tu.param
     parts: list[str] = []
-    if row.const != 0.0 or not row.coeffs:
-        parts.append(param(row.const))
-    for c, s in zip(row.coeffs, row.in_sigs):
+    if const != 0.0 or not coeffs:
+        parts.append(param(const))
+    for c, s in zip(coeffs, in_sigs):
         ref = f"S[{s}]"
         if not parts:
             if c == 1.0:
@@ -115,39 +114,33 @@ def _affine_c(row: AffineRow, tu: "_TU") -> str:
 class BlockEmitter:
     """Per-block emission context handed to native templates."""
 
-    def __init__(self, tu: "_TU", qname, in_sigs, out_sigs, dwork_off,
-                 state_off, held=None):
+    def __init__(self, tu: "_TU", rec: "_Rec"):
         self._tu = tu
-        self._qname = qname
-        self._in = in_sigs
-        self._out = out_sigs
-        self._dw = dwork_off  # field -> absolute DW index
-        self._x0 = state_off
-        self._held = held  # (slot in the context's H table, length) or None
+        self.rec = rec
         self.lines: list[str] = []
 
     def u(self, i: int) -> str:
-        return f"S[{self._in[i]}]"
+        return f"S[{self.rec.ins[i]}]"
 
     def y(self, p: int) -> str:
-        return f"S[{self._out[p]}]"
+        return f"S[{self.rec.outs[p]}]"
 
     def dw(self, fld: str, k: int = 0) -> str:
-        return f"DW[{self._dw[fld] + k}]"
+        return f"DW[{self.rec.offs[fld] + k}]"
 
     def dw_index(self, fld: str) -> int:
-        return self._dw[fld]
+        return self.rec.offs[fld]
 
     def x(self, i: int) -> str:
-        return f"X[{self._x0 + i}]"
+        return f"X[{self.rec.x0 + i}]"
 
     def xd(self, i: int) -> str:
-        return f"XD[{self._x0 + i}]"
+        return f"XD[{self.rec.x0 + i}]"
 
     def held(self, i: int) -> str:
         """Slot ``i`` of the block's held-output buffer (see
         :meth:`~repro.native.templates.NativeTemplate.held`)."""
-        k, n = self._held or (None, 0)
+        k, n = self.rec.held or (None, 0)
         if not 0 <= i < n:
             raise NativeLoweringError(
                 f"held slot {i} outside the block's {n}-slot buffer"
@@ -156,7 +149,7 @@ class BlockEmitter:
 
     def lit(self, v: float) -> str:
         """A block parameter: a new ``P`` slot holding ``v``."""
-        return self._tu.param(v, self._qname)
+        return self._tu.param(v)
 
     def tmp(self) -> str:
         self._tu.n_tmp += 1
@@ -170,7 +163,7 @@ class BlockEmitter:
         ``<expr>[i]``."""
         first = self._tu.next_slot()
         for v in values:
-            self._tu.param(v, self._qname)
+            self._tu.param(v)
         return f"(P + {first})"
 
 
@@ -179,10 +172,12 @@ class _TU:
     params: list = field(default_factory=list)  # P[k] values
     owners: list = field(default_factory=list)  # the qname behind each slot
     n_tmp: int = 0
+    #: the block being emitted (owner of the slots :meth:`param` adds)
+    qname: str = ""
 
-    def param(self, v: float, qname: str) -> str:
+    def param(self, v: float) -> str:
         self.params.append(float(v))
-        self.owners.append(qname)
+        self.owners.append(self.qname)
         return f"P[{len(self.params) - 1}]"
 
     def next_slot(self) -> int:
@@ -199,7 +194,7 @@ class _BlockTU(_TU):
         super().__init__()
         self.slots = slots
 
-    def param(self, v: float, qname: str) -> str:
+    def param(self, v: float) -> str:
         self.params.append(float(v))
         return f"P[{self._slot(len(self.params) - 1)}]"
 
@@ -214,7 +209,8 @@ class _BlockTU(_TU):
 @dataclass
 class _Rec:
     """A template-lowered block: template, discrete-work layout and
-    slice, held-output slot."""
+    slice, held-output slot, and its emitter inputs (resolved once per
+    lowering, for every site and re-emission)."""
 
     tpl: Any
     layout: list
@@ -222,6 +218,9 @@ class _Rec:
     dw0: int
     n_dw: int
     held: Optional[tuple]  # (slot in the context's H table, length)
+    ins: tuple  # the input signals' indices
+    outs: tuple  # the output signals' indices
+    x0: int  # first continuous-state index
 
 
 class Lowering:
@@ -238,26 +237,28 @@ class Lowering:
 
     def emit(self, tu: _TU, qname: str, block, method: str,
              rows=None) -> list[str]:
-        """What one block contributes to one pass: its affine ``rows``,
-        or else its template's ``method`` chunk."""
+        """What one block contributes to one pass: its affine ``rows``'
+        statements (``(out_sig, const, coeffs, in_sigs)`` each), or else
+        the lines its template's ``method`` emits."""
+        tu.qname = qname
         if rows is not None:
-            return [f"  S[{r.out_sig}] = {_affine_c(r, tu)};" for r in rows]
-        cm = self.cm
+            return [f"  S[{out}] = {_affine_c(const, coeffs, ins, tu)};"
+                    for out, const, coeffs, ins in rows]
         rec = self.recs[qname]
-        em = BlockEmitter(
-            tu, qname, tuple(cm.input_map[qname]),
-            tuple(cm.sig_index[(qname, p)] for p in range(block.n_out)),
-            rec.offs, cm.state_offset[qname], rec.held,
-        )
-        return _block_chunk(qname, rec.tpl, method, block, em)
+        em = BlockEmitter(tu, rec)
+        getattr(rec.tpl, method)(block, em)
+        return em.lines
 
     def site(self, tu: _TU, qname: str, method: str) -> list[str]:
-        """Emit the model's block at its next site and record its lines."""
+        """Emit the model's block at its next site, record its lines and
+        return them as TU text."""
         tmp0 = tu.n_tmp
-        lines = self.emit(tu, qname, self.cm.nodes[qname], method,
-                          self.plan.affine_rows.get(qname))
+        rows = self.plan.affine_rows.get(qname)
+        if rows is not None:
+            rows = [(r.out_sig, r.const, r.coeffs, r.in_sigs) for r in rows]
+        lines = self.emit(tu, qname, self.cm.nodes[qname], method, rows)
         self.sites.setdefault(qname, []).append((method, tmp0, lines))
-        return lines
+        return lines if rows is not None else _block_chunk(qname, lines)
 
     def slots(self, owners: list[str]) -> dict:
         """qname -> the ``P`` indices it owns, in emission order."""
@@ -278,9 +279,8 @@ class Lowering:
             spec = _affine_spec(block, self.cm.state_count[qname])
             if spec is None:
                 return None
-            rows = [dataclasses.replace(r, coeffs=tuple(float(c) for c in spec[p][0]),
-                                        const=float(spec[p][1]))
-                    for p, r in enumerate(base_rows)]
+            rows = [(r.out_sig, float(spec[p][1]), tuple(map(float, spec[p][0])),
+                     r.in_sigs) for p, r in enumerate(base_rows)]
         elif qname in self.recs:
             rec = self.recs[qname]
             tpl = rec.tpl
@@ -365,35 +365,52 @@ class NativeProgram:
                 for k, (v, q) in enumerate(zip(self.params, self.param_owners))]
         return self.source + "".join(f"{r}\n" for r in rows)
 
-    def relower(self, blocks: Mapping[str, tuple]):
-        """This program's ``(P, DW)`` vectors with ``blocks`` (``{qname:
-        (block, started context)}``, e.g. one ensemble lane's overridden
-        clones) in place of the blocks it was lowered from.  Only those
-        blocks are re-emitted.  ``None`` when one of them renders other
-        text — another form, e.g. a gain of exactly -1 — which needs a
-        TU of its own."""
+    def relower(self, blocks: Mapping[str, tuple]) -> Optional[dict]:
+        """Re-emit only ``blocks`` (``{qname: (block, started context)}``,
+        e.g. one ensemble lane's overridden clones) in place of the blocks
+        this program was lowered from: ``{qname: (P values, DW values)}``,
+        the values of the block's own ``P`` slots and ``DW`` slice, or
+        ``None`` when one of them renders other text — another form,
+        e.g. a gain of exactly -1 — which needs a TU of its own."""
         low = self.lowering
-        params = np.array(self.params or [0.0], dtype=np.float64)
-        dwork = np.array(self.dwork_init or [0.0], dtype=np.float64)
         slots = low.slots(self.param_owners)
+        out = {}
         for qname, (block, ctx) in blocks.items():
-            own = slots.get(qname, [])
-            got = low.relower(qname, block, ctx, own)
+            got = low.relower(qname, block, ctx, slots.get(qname, []))
             if got is None:
                 return None
-            values, dw = got
+            out[qname] = got
+        return out
+
+    def lane_vectors(self, n_lanes: int, edits: Mapping[str, tuple]):
+        """``(P, DW)``: ``n_lanes`` rows of this program's parameter and
+        discrete-work vectors, sized as a context reads them
+        (:func:`~repro.native.executor.context_sizes`), one broadcast
+        each, with ``edits`` — ``{qname: (lanes, P values, DW values)}``,
+        one :meth:`relower` result per listed lane — written into that
+        block's slots of those lanes' rows: the matrices an ensemble's
+        lanes of this form point into."""
+        from .executor import context_sizes
+
+        n_params, n_dwork, _work = context_sizes(self)
+        params = np.empty((n_lanes, n_params))
+        params[:] = self.params or 0.0
+        dwork = np.empty((n_lanes, n_dwork))
+        dwork[:] = self.dwork_init if self.n_dwork else 0.0
+        slots = self.lowering.slots(self.param_owners) if edits else {}
+        for qname, (lanes, values, dws) in edits.items():
+            lanes = np.array(lanes, dtype=np.intp)
+            own = slots.get(qname)
             if own:
-                params[own] = values
+                params[lanes[:, None], own] = values
             rec = self.recs.get(qname)
             if rec is not None and rec.n_dw:
-                dwork[rec.dw0 : rec.dw0 + rec.n_dw] = dw
+                dwork[lanes, rec.dw0 : rec.dw0 + rec.n_dw] = dws
         return params, dwork
 
 
-def _block_chunk(qname, tpl, method, block, em) -> list[str]:
-    getattr(tpl, method)(block, em)
-    lines = em.lines
-    em.lines = []
+def _block_chunk(qname: str, lines: list[str]) -> list[str]:
+    """A template block's ``lines`` as a commented TU block."""
     if not lines:
         return []
     out = [f"  {{ /* {qname} */"]
@@ -467,7 +484,12 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         if buf is not None:
             slot = (n_held, buf.size)
             n_held += 1
-        recs[qname] = _Rec(tpl, layout, offs, n_dwork, want, slot)
+        recs[qname] = _Rec(
+            tpl, layout, offs, n_dwork, want, slot,
+            tuple(cm.input_map[qname]),
+            tuple(cm.sig_index[(qname, p)] for p in range(block.n_out)),
+            cm.state_offset[qname],
+        )
         n_dwork += want
 
     low = Lowering(cm, plan, recs)

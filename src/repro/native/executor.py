@@ -9,10 +9,8 @@ simulator from
   C loop writes is immediately visible to Python (co-simulation taps
   between steps) without copies;
 * this instance's parameter vector (``NativeProgram.params``), discrete
-  work and integrator scratch, allocated here, or the parameter and
-  discrete-work vectors the caller passes (an ensemble lane's, from
-  :meth:`NativeProgram.relower`) — so simulators of different design
-  points share one artifact;
+  work and integrator scratch, allocated here — so simulators of
+  different design points share one artifact;
 * the held-output arrays blocks expose (``NativeProgram.held``),
   borrowed, so a harness writes actuation into one buffer whichever
   executor runs the plant.
@@ -25,11 +23,17 @@ into rows the caller owns, such as one lane's slice of a
 checked its log once (:meth:`NativePath.check_log`) and steps one row at
 a time (``Simulator.advance``).
 
-:class:`LaneGroups` runs one chunk of every lane of an ensemble.  Each
-lane owns its context and every buffer it points into, and ``nx_run``
-is a ctypes call, which releases the GIL, so lanes on different threads
-never share a written byte and step in parallel.  The lanes are cut
-into contiguous groups, one per usable CPU (:func:`~repro.native.cache.
+:class:`LaneGroups` holds an ensemble's lanes and runs one chunk of
+every lane.  Lane ``b`` is one ``nx_ctx`` whose pointers address row
+``b`` of the ensemble's ``(B, n)`` signal, state and scratch matrices
+and of its form's parameter and discrete-work matrices
+(:meth:`NativeProgram.lane_vectors`); the contexts are one array of
+addresses (:func:`contexts`, which also builds a :class:`NativePath`'s
+one-row context), so making a lane allocates no buffer of its own.
+Each lane writes only its own rows, and ``nx_run`` is a ctypes call,
+which releases the GIL, so lanes on different threads never share a
+written byte and step in parallel.  The lanes are cut into contiguous
+groups, one per usable CPU (:func:`~repro.native.cache.
 cc_slots`): adjacent lanes' signal and state rows share cache lines,
 and interleaved groups (lanes 0, 2, 4, ... on one thread) ran a
 16-lane servo chunk slower than one thread did.  The calling thread
@@ -54,9 +58,6 @@ import numpy as np
 
 from . import cache
 
-#: ``nx_ctx`` field order: S, X, DW, W, P, then the held table H[...]
-_CTX_FIXED = 5
-
 _libs: dict[str, ctypes.CDLL] = {}
 _libs_lock = threading.Lock()
 
@@ -80,11 +81,41 @@ def _addr(arr: Optional[np.ndarray]) -> Optional[int]:
     return None if arr is None else arr.ctypes.data
 
 
-def _check_vector(name: str, arr, n: int) -> None:
-    """The C loop indexes ``arr[0..n)`` through a raw pointer."""
-    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-            and arr.ndim == 1 and arr.flags.c_contiguous and arr.size == n):
-        raise TypeError(f"{name} must be a contiguous float64 vector of {n}")
+def context_sizes(program) -> tuple[int, int, int]:
+    """``(P, DW, W)``: how many doubles one context's parameter,
+    discrete-work and integrator-scratch rows hold (at least one each,
+    so the C loop never gets a pointer to nothing)."""
+    return (max(1, len(program.params)), max(1, program.n_dwork),
+            5 * max(1, program.n_states))
+
+
+def contexts(program, signals: np.ndarray, states: Optional[np.ndarray],
+             dwork: np.ndarray, params: np.ndarray, held: Sequence = ()):
+    """``(ctx, work)``: row ``b`` of ``ctx`` is one ``nx_ctx``, the
+    emitted struct's fields in order: the addresses of row ``b`` of
+    ``signals``, ``states``, ``dwork``, the integrator scratch ``work``
+    (allocated here) and ``params``, then the held table ``H``, one
+    address per ``held`` buffer.  The matrices are ``(rows, n)``, checked
+    against ``program``'s sizes: the C loop indexes them through raw
+    pointers.  ``states`` is ignored when the program has none."""
+    rows = len(signals)
+    n_params, n_dwork, n_work = context_sizes(program)
+    _check_rows("signals", signals, rows, program.n_signals)
+    if program.n_states:
+        _check_rows("states", states, rows, program.n_states)
+    else:
+        states = None
+    _check_rows("dwork", dwork, rows, n_dwork)
+    _check_rows("params", params, rows, n_params)
+    work = np.zeros((rows, n_work))
+    # (address of row 0, bytes between rows) per field; every row shares
+    # the held buffers, and an empty H table holds one NULL
+    fields = [(0, 0) if a is None else (a.ctypes.data, a.strides[0])
+              for a in (signals, states, dwork, work, params)]
+    fields += [(h.ctypes.data, 0) for h in held] or [(0, 0)]
+    ctx = np.array([[a + b * step for a, step in fields] for b in range(rows)],
+                   dtype=np.uintp)
+    return ctx, work
 
 
 class NativePath:
@@ -93,39 +124,25 @@ class NativePath:
     ``signals`` must be a contiguous float64 ndarray (the engine swaps
     its scalar list out right before binding); ``states`` is the
     engine's state vector, shared with every ``BlockContext.x`` view.
-    ``params``/``dwork`` replace the program's own vectors (owned by the
-    context from then on).
     """
 
     def __init__(self, program, so_path: str, signals: np.ndarray,
-                 states: Optional[np.ndarray],
-                 params: Optional[np.ndarray] = None,
-                 dwork: Optional[np.ndarray] = None):
-        _check_vector("signals", signals, program.n_signals)
-        if program.n_states:
-            _check_vector("states", states, program.n_states)
-        if params is None:
-            params = np.array(program.params or [0.0], dtype=np.float64)
-        if dwork is None:
-            dwork = np.array(program.dwork_init or [0.0], dtype=np.float64)
-        _check_vector("params", params, max(1, len(program.params)))
-        _check_vector("dwork", dwork, max(1, program.n_dwork))
+                 states: Optional[np.ndarray]):
+        params = np.array([program.params or [0.0]])
+        dwork = np.array([program.dwork_init or [0.0]])
+        held = list(program.held)
+        ctx, work = contexts(
+            program, signals[None],
+            states[None] if program.n_states else None, dwork, params, held)
         self.program = program
         self.so_path = so_path
         #: the process-wide library handle (shared by every context)
         self.lib = lib = load_library(so_path)
-        work = np.zeros(5 * max(1, program.n_states))
-        held = list(program.held) or [None]
         #: every buffer the context points into, kept alive with it
-        self._buffers = (signals, states, dwork, work, params, *held)
-        states = states if program.n_states else None
-        addrs = [_addr(signals), _addr(states), _addr(dwork), _addr(work),
-                 _addr(params)]
-        addrs += [_addr(b) for b in held]
-        self._ctx = (ctypes.c_void_p * (_CTX_FIXED + len(held)))(*addrs)
+        self._buffers = (signals, states, dwork, work, params, ctx, *held)
         #: ``nx_run(start, n, scope_addr, trace_addr)`` with the context
         #: pre-bound: no check, the caller owns the rows' addresses
-        self.nx_run = partial(lib.nx_run, ctypes.addressof(self._ctx))
+        self.nx_run = partial(lib.nx_run, ctx.ctypes.data)
 
     def run_chunk(self, start: int, n: int, scope: np.ndarray,
                   trace: Optional[np.ndarray] = None) -> None:
@@ -172,13 +189,39 @@ class LaneGroups:
     usable CPU, sizes differing by at most one) that step each chunk on
     threads of their own.
 
-    ``blocks`` is the number of scheduled blocks one lane-step runs
-    (the measure of :data:`SPLIT_MIN_BLOCK_STEPS`).
+    ``signals`` and ``states`` are the lanes' C-contiguous ``(B,
+    n_signals)`` and ``(B, n_states)`` matrices.  ``forms`` lists
+    ``(program, so_path, params, dwork)`` per emitted form, with the
+    form's ``(B, n)`` parameter and discrete-work matrices, and
+    ``lane_forms[b]`` is the index of lane ``b``'s form: lane ``b``'s
+    context points into row ``b`` of each matrix it reads.  ``blocks``
+    is the number of scheduled blocks one lane-step runs (the measure
+    of :data:`SPLIT_MIN_BLOCK_STEPS`).
     """
 
-    def __init__(self, lanes: Sequence[NativePath], blocks: int):
-        self.lanes = list(lanes)
-        n_lanes = len(self.lanes)
+    def __init__(self, signals: np.ndarray, states: np.ndarray,
+                 forms: Sequence[tuple], lane_forms: Sequence[int],
+                 blocks: int):
+        n_lanes = len(lane_forms)
+        program = forms[0][0]
+        made, runs = [], []
+        for prog, so_path, params, dwork in forms:
+            if prog.held:
+                raise TypeError("lanes cannot share held-output buffers")
+            made.append(contexts(prog, signals, states, dwork, params))
+            runs.append(load_library(so_path).nx_run)
+        #: lane ``b``'s context: row ``b`` of its form's contexts
+        ctx = np.stack([c for c, _work in made])[lane_forms,
+                                                  np.arange(n_lanes)]
+        #: every buffer the contexts point into, kept alive with them
+        self._buffers = (signals, states, forms, made, ctx)
+        #: lane ``b``'s context is at ``_contexts[0] + b * _contexts[1]``
+        self._contexts = (ctx.ctypes.data, ctx.strides[0])
+        #: per lane, its form's ``nx_run(ctx, start, n, scope_addr,
+        #: trace_addr)`` (the caller owns the rows' addresses)
+        self.lanes = [runs[f] for f in lane_forms]
+        self._n_scopes = len(program.scope_sigs)
+        self._n_signals = program.n_signals
         width = min(n_lanes, cache.cc_slots())
         q, r = divmod(n_lanes, width)
         edges = [g * q + min(g, r) for g in range(width + 1)]
@@ -189,24 +232,36 @@ class LaneGroups:
     def run_chunk(self, start: int, n: int, scope: np.ndarray,
                   trace: Optional[np.ndarray] = None) -> int:
         """``n`` major steps of every lane from step ``start``: lane
-        ``b`` runs one :meth:`NativePath.run_chunk` into ``scope[b]``
-        (and ``trace[b]``).  Returns how many groups ran the chunk."""
+        ``b`` writes each step's scope samples into a row of
+        ``scope[b]`` (``scope`` is ``(B, n, n_scopes)``) and, unless
+        ``trace`` is None, its signal vector into a row of ``trace[b]``
+        (``(B, n, n_signals)``).  Each lane's rows must be C-contiguous
+        float64: the C loop writes them through raw pointers.  Returns
+        how many groups ran the chunk."""
+        rows = [_lane_rows("scope", scope, len(self.lanes), n, self._n_scopes)]
+        rows.append(None if trace is None else _lane_rows(
+            "trace", trace, len(self.lanes), n, self._n_signals))
         if (len(self.groups) == 1
                 or n * self._block_steps < SPLIT_MIN_BLOCK_STEPS):
-            self._run(0, len(self.lanes), start, n, scope, trace)
+            self._run(0, len(self.lanes), start, n, *rows)
             return 1
-        self._split(start, n, scope, trace)
+        self._split(start, n, *rows)
         return len(self.groups)
 
     def _run(self, first: int, end: int, start: int, n: int,
-             scope: np.ndarray, trace: Optional[np.ndarray]) -> None:
+             scope: tuple, trace: Optional[tuple]) -> None:
+        """Lanes ``first`` to ``end``; ``scope`` and ``trace`` are
+        ``(address of lane 0's rows, bytes between lanes)``."""
         lanes = self.lanes
+        c0, dc = self._contexts
+        s0, ds = scope
+        t0, dt = trace or (0, 0)
         for b in range(first, end):
-            lanes[b].run_chunk(start, n, scope[b],
-                               None if trace is None else trace[b])
+            lanes[b](c0 + b * dc, start, n, s0 + b * ds,
+                     None if trace is None else t0 + b * dt)
 
-    def _split(self, start: int, n: int, scope: np.ndarray,
-               trace: Optional[np.ndarray]) -> None:
+    def _split(self, start: int, n: int, scope: tuple,
+               trace: Optional[tuple]) -> None:
         """The first group on the calling thread, each other group on a
         fresh thread; the first error any group raised is re-raised
         here once every group has finished."""
@@ -229,3 +284,13 @@ class LaneGroups:
                 t.join()
         if errors:
             raise errors[0]
+
+
+def _lane_rows(name: str, arr, lanes: int, n: int, width: int) -> tuple:
+    """``(address of lane 0's rows, bytes between lanes)`` of ``arr``,
+    ``(lanes, n, width)`` float64 whose lanes are C-contiguous rows."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+            and arr.shape == (lanes, n, width) and arr[0].flags.c_contiguous):
+        raise TypeError(f"{name} must be float64 lanes of C-contiguous rows "
+                        f"of shape {(lanes, n, width)}")
+    return arr.ctypes.data, arr.strides[0]

@@ -110,7 +110,9 @@ def run_pair(factory, scenarios, t_final=0.05, dt=1e-3, solver="rk4",
     return serial, batch, batched
 
 
-def assert_lanes_identical(serial, batched):
+def assert_lanes_identical(serial, batched, signs=False):
+    """Each lane equals its serial run (with ``signs``, also in the sign
+    of every zero, which ``np.array_equal`` calls equal)."""
     assert batched.n_lanes == len(serial)
     for b, ref in enumerate(serial):
         lane = batched.lane(b)
@@ -121,6 +123,11 @@ def assert_lanes_identical(serial, batched):
                 f"lane {b} signal '{name}' diverges: max |Δ| = "
                 f"{np.max(np.abs(ref[name] - lane[name]))}"
             )
+            if signs:
+                assert np.array_equal(np.signbit(ref[name]),
+                                      np.signbit(lane[name])), (
+                    f"lane {b} signal '{name}' differs in the sign of a zero"
+                )
 
 
 #: vary the sine driver so lanes take genuinely different trajectories
@@ -311,6 +318,70 @@ class TestServoCaseStudy(Matrix):
 
 
 # ---------------------------------------------------------------------------
+# lane set-up: each lane changes only what its own scenario overrides
+# ---------------------------------------------------------------------------
+def lane_mix():
+    """Servo lanes overriding different blocks: none, one, two, a
+    stateful one, a form-changing gain of exactly -1 (alone and with an
+    override of its own), and a setpoint of -0.0."""
+    from repro.casestudy import ServoConfig
+
+    return [
+        {},
+        {"controller.ref": {"value": 80.0}},
+        {"controller.pid": {"gains": ServoConfig(bandwidth_hz=4.0).gains()}},
+        {"plant.tacho_gain": {"gain": -1.0}},
+        {"load": {"value": 0.002}, "controller.filt": {"alpha": 0.25}},
+        {"plant.tacho_gain": {"gain": -1.0}, "controller.ref": {"value": 120.0}},
+        {"plant.motor": {"initial_speed": 5.0}},
+        {"controller.ref": {"value": -0.0}},
+    ]
+
+
+def alone(factory, overrides, native, dt, t_final):
+    """One scenario run by itself on the executor its ensemble used, its
+    overrides set on the model: a ``Simulator`` on native, a one-lane
+    ensemble on the numpy engine."""
+    cm = factory().compile(dt)
+    for qname, attrs in overrides.items():
+        for attr, value in attrs.items():
+            setattr(cm.nodes[qname], attr, value)
+    opts = SimulationOptions(dt=dt, t_final=t_final, log_all_signals=True,
+                             native=native)
+    if native:
+        sim = Simulator(cm, opts)
+        result = sim.run()
+    else:
+        sim = BatchSimulator(cm, [{}], opts)
+        result = sim.run().lane(0)
+    assert sim.native_active == native, sim.native_fallback_reason
+    return result
+
+
+class TestLaneSetUp(Matrix):
+    def test_lanes_overriding_different_blocks(self):
+        """Each lane equals the reference run of its scenario (atol=0)
+        and, signs of zero included, its scenario run alone on the same
+        executor: lane set-up changes what the lane overrides and
+        nothing else."""
+        from repro.casestudy import ServoConfig, build_servo_model
+
+        def factory():
+            return build_servo_model(ServoConfig(setpoint=100.0)).model
+
+        scenarios = lane_mix()
+        serial, sim, batched = run_pair(factory, scenarios, t_final=0.02,
+                                        dt=1e-4, native=self.native)
+        if self.native:
+            assert sim.native_active, sim.native_fallback_reason
+            assert sim.plan_stats["forms"] == 2  # the -1 gain lanes
+        assert_lanes_identical(serial, batched)
+        assert_lanes_identical(
+            [alone(factory, sc, self.native, 1e-4, 0.02) for sc in scenarios],
+            batched, signs=True)
+
+
+# ---------------------------------------------------------------------------
 # API surface
 # ---------------------------------------------------------------------------
 class TestBatchApi(Matrix):
@@ -393,4 +464,8 @@ class TestServoCaseStudyNative(NativeLeg, TestServoCaseStudy):
 
 
 class TestBatchApiNative(NativeLeg, TestBatchApi):
+    pass
+
+
+class TestLaneSetUpNative(NativeLeg, TestLaneSetUp):
     pass

@@ -21,6 +21,7 @@ from repro.model import (
     Simulator,
 )
 from repro.native import NativePath
+from repro.native.executor import LaneGroups
 from repro.obs import Tracer, use_tracer
 
 from tests.native.conftest import require_cc
@@ -156,6 +157,9 @@ class TestNeverFiring:
 
     @staticmethod
     def count_calls(monkeypatch):
+        """``advance`` calls, and native chunks run per lane
+        (``run_chunk``: one per chunk of a single run, one per lane and
+        chunk of native lanes)."""
         calls = {"advance": 0, "run_chunk": 0}
 
         def counted(cls, name):
@@ -170,6 +174,13 @@ class TestNeverFiring:
         counted(Simulator, "advance")
         counted(BatchSimulator, "advance")
         counted(NativePath, "run_chunk")
+        lanes_run = LaneGroups._run
+
+        def lane_chunks(self, first, end, *args):
+            calls["run_chunk"] += end - first
+            return lanes_run(self, first, end, *args)
+
+        monkeypatch.setattr(LaneGroups, "_run", lane_chunks)
         return calls
 
     def test_native_run_stays_chunked(self, monkeypatch):

@@ -22,6 +22,7 @@ from repro.model.library import (
     Constant,
     DataTypeConversion,
     DiscreteTransferFunction,
+    FunctionCallSubsystem,
     Gain,
     Lookup1D,
     Scope,
@@ -274,6 +275,61 @@ class TestCanonicalDocument:
             "cf6c2fd478e23c3fce4edb3a11f61e6af96d43887a22b937789eaebb727f3d93")
         assert model_content_hash(build_servo_model(ServoConfig(setpoint=100.0)).model) == (
             "746a74f93d7861312a7da629473b3dcd768c06ea348f70aa3e4ce092cb074e31")
+
+
+def port_wired(port) -> Model:
+    """:func:`diagram`'s model, every port number given as ``port(k)``
+    (at the top level and inside the subsystem)."""
+    sub = Subsystem("sub")
+    for b in [Inport("i", index=0), Gain("k", gain=0.5), Outport("o", index=0)]:
+        sub.inner.add(b)
+    sub.inner.connect("i", "k", port(0), port(0))
+    sub.inner.connect("k", "o", port(0), port(0))
+    m = Model("ports")
+    for b in [Step("r", step_time=0.01, final=2.0), Sum("e", signs="+-"), sub,
+              TransferFunction("p", [1.0], [0.05, 1.0]), Scope("sc", label="y")]:
+        m.add(b)
+    for src, dst, sp, dp in [("r", "e", 0, 0), ("p", "e", 0, 1), ("e", "sub", 0, 0),
+                             ("sub", "p", 0, 0), ("p", "sc", 0, 0)]:
+        m.connect(src, dst, port(sp), port(dp))
+    return m
+
+
+class TestPortNumbers:
+    """Port numbers are stored as ``int``, whatever integer type wired
+    them, so the document and its content hash cannot tell them apart."""
+
+    @pytest.mark.parametrize("port", [np.int64, np.int32, np.uint8],
+                             ids=lambda t: t.__name__)
+    def test_numpy_ports_write_the_int_document(self, port):
+        doc, ref = model_to_dict(port_wired(port)), model_to_dict(port_wired(int))
+        assert json.dumps(doc) == json.dumps(ref)
+        assert model_content_hash(port_wired(port), dt=1e-3) == (
+            model_content_hash(port_wired(int), dt=1e-3))
+        model = port_wired(port)
+        inner = model.block("sub").inner
+        for c in model.connections + inner.connections:
+            assert type(c.src_port) is int and type(c.dst_port) is int
+
+    @pytest.mark.parametrize("port", [1.0, np.float64(0.0), "0", None],
+                             ids=repr)
+    def test_a_non_integral_port_raises_model_error(self, port):
+        m = Model("bad")
+        c = m.add(Constant("c"))
+        g = m.add(Gain("g"))
+        with pytest.raises(ModelError, match="port number must be an integer"):
+            m.connect(c, g, port, 0)
+        with pytest.raises(ModelError, match="port number must be an integer"):
+            m.connect(c, g, 0, port)
+        assert m.connections == []
+
+    def test_a_non_integral_event_port_raises_model_error(self):
+        m = Model("bad")
+        src = m.add(Constant("c"))
+        isr = m.add(FunctionCallSubsystem("isr"))
+        with pytest.raises(ModelError, match="port number must be an integer"):
+            m.connect_event(src, isr, 0.0)
+        assert m.event_connections == []
 
 
 class _Level(enum.IntEnum):

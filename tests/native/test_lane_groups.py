@@ -21,7 +21,7 @@ from repro.model import (
     SimulationOptions,
     Simulator,
 )
-from repro.native import NativePath, wait_pending
+from repro.native import wait_pending
 from repro.native.executor import SPLIT_MIN_BLOCK_STEPS, LaneGroups
 from repro.obs import Tracer, use_tracer
 from repro.service import CoalesceConfig, JobState, SimServe, SweepRequest
@@ -111,20 +111,20 @@ class TestOneGroupEqualsTwo:
             self, cpus, monkeypatch):
         cpus(2)
         seen = {}
-        real = NativePath.run_chunk
+        real = LaneGroups._run
 
-        def recorded(lane, *args):
-            seen.setdefault(threading.get_ident(), set()).add(id(lane))
-            return real(lane, *args)
+        def recorded(self, first, end, *args):
+            seen.setdefault(threading.get_ident(), set()).update(
+                range(first, end))
+            return real(self, first, end, *args)
 
-        monkeypatch.setattr(NativePath, "run_chunk", recorded)
+        monkeypatch.setattr(LaneGroups, "_run", recorded)
         sim = ensemble(native_mode=True)
         sim.run()
-        lanes = [id(lane) for lane in sim._lanes.lanes]
         assert sim._lanes.groups == [(0, 8), (8, 16)]
-        assert sorted(map(sorted, seen.values())) == sorted(
-            [sorted(lanes[:8]), sorted(lanes[8:])])
-        assert set(lanes[:8]) == seen[threading.get_ident()]
+        assert sorted(map(sorted, seen.values())) == [
+            list(range(8)), list(range(8, 16))]
+        assert seen[threading.get_ident()] == set(range(8))
 
     def test_multi_form_ensemble(self, cpus, splits):
         # 16 gain lanes, one of exactly -1 (its own artifact), 5001

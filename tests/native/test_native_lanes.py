@@ -11,15 +11,29 @@ between steps.  Whatever keeps the ensemble off native lanes is counted
 once and runs the numpy engine.
 """
 
+import copy
+import inspect
+import struct
+import types
+from collections import deque
+
 import numpy as np
+import pytest
 
 import repro.native as native
+import repro.native.emit as emit
 from repro.casestudy import ServoConfig
 from repro.model import BatchScenario, BatchSimulator, SimulationOptions, Simulator
 from repro.native import native_cache_stats, wait_pending
 from repro.obs.metrics import get_registry
 
+from repro.model import Model
+from repro.model.io import model_to_dict
+from repro.model.library import Constant, Gain, Scope
+from repro.sim import ControllerProxy
+
 from tests.model.test_batch import (
+    DRIVER_SWEEP,
     assert_lanes_identical,
     diverging_event_model,
     run_pair,
@@ -189,6 +203,82 @@ class TestSharedModel:
         assert cm.nodes["controller.ref"] is ref and ref.value == value
 
 
+def held_model():
+    """A plant-side diagram: a controller proxy's held actuation through a
+    gain into a scope, and a constant into the proxy."""
+    m = Model("held")
+    m.add(Constant("u", value=0.25))
+    m.add(ControllerProxy("proxy", n_in=1, n_out=1))
+    m.add(Gain("g", gain=3.0))
+    m.connect("u", "proxy")
+    m.connect("proxy", "g")
+    m.connect("g", m.add(Scope("sc", label="y")))
+    return m
+
+
+def same(a, b) -> bool:
+    """Equal nested values: containers and attribute dicts item by item,
+    arrays and floats bit for bit, functions and classes by identity."""
+    if a is b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return (a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple, deque)):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, (types.FunctionType, types.BuiltinFunctionType, type)):
+        return False  # not the same object
+    if hasattr(a, "__dict__"):
+        return same(vars(a), vars(b))
+    return a == b
+
+
+def own_override(block_factory) -> dict:
+    """``{"b": {param: value}}``: the block's first constructor parameter
+    holding a float or a float array, moved to ``1.5 * v + 0.5`` — the
+    lane's clone then holds its own value there and shares every other
+    attribute with the model's block (``{}`` for a block without one)."""
+    block = block_factory()
+    for name in inspect.signature(type(block).__init__).parameters:
+        v = getattr(block, name, None)
+        if type(v) is float or (isinstance(v, np.ndarray) and v.dtype == float):
+            return {"b": {name: 1.5 * v + 0.5}}
+    return {}
+
+
+class TestLaneClones:
+    @pytest.mark.parametrize("key", sorted(LIBRARY))
+    def test_lane_set_up_leaves_the_model_untouched(self, key):
+        """Native lanes start shallow copies of the blocks they override
+        (the numpy engine deep copies): after an ensemble, the compiled
+        model holds the same blocks, with the same nested values, and
+        writes the same document."""
+        require_cc()
+        model = harness(LIBRARY[key])()
+        cm = model.compile(1e-3)
+        own = own_override(LIBRARY[key])
+        scenarios = [{**lane, **own} for lane in DRIVER_SWEEP]
+        overridden = {q for sc in scenarios for q in sc}
+        blocks = {q: cm.nodes[q] for q in overridden}
+        before = {q: copy.deepcopy(vars(b)) for q, b in blocks.items()}
+        doc = model_to_dict(model)
+        sim = BatchSimulator(cm, scenarios, SimulationOptions(
+            dt=1e-3, t_final=0.05, native=True))
+        sim.run()
+        reason = sim.native_fallback_reason
+        assert sim.native_active or reason.startswith("plan_refused"), reason
+        for q, b in blocks.items():
+            assert cm.nodes[q] is b
+            assert same(vars(b), before[q]), q
+        assert model_to_dict(model) == doc
+
+
 class TestLadder:
     """Each rung is counted once per ensemble, and the ensemble runs the
     numpy engine bit for bit (these run with or without a compiler)."""
@@ -216,6 +306,27 @@ class TestLadder:
         self.check("plan_refused",
                    model=lambda: diverging_event_model().compile(DT),
                    scenarios=[{"level": {"value": v}} for v in (0.0, 2.0)])
+
+    def test_held_outputs_report_plan_refused_before_any_lane_lowers(
+            self, monkeypatch):
+        """A base program with held outputs is refused at once: no lane
+        re-emits a block or lowers a form of its own first."""
+        require_cc()
+        calls = {"generate_program": 0, "relower": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(native, "generate_program",
+                            counted("generate_program", native.generate_program))
+        monkeypatch.setattr(emit.Lowering, "relower",
+                            counted("relower", emit.Lowering.relower))
+        self.check("plan_refused", model=lambda: held_model().compile(DT),
+                   scenarios=[{"g": {"gain": 2.0}}, {"g": {"gain": -1.0}}, {}])
+        assert calls == {"generate_program": 1, "relower": 0}
 
     def test_missing_compiler_reports_toolchain_missing(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_CC", "/nonexistent/cc")

@@ -24,6 +24,7 @@ from repro.service import (
 from repro.service.__main__ import servo_sweep_model
 from repro.service.model_cache import ModelCache
 from repro.service.workers import execute_coalesced, execute_request
+from tests.model.test_io import port_wired
 
 from .helpers import (
     Gate,
@@ -89,6 +90,25 @@ class TestDeterminism:
             assert set(ref.names) == set(got.names)
             for name in ref.names:
                 assert np.array_equal(ref[name], got[name]), name
+
+    def test_numpy_integer_ports_are_content_addressed(self):
+        """A model wired with numpy-integer ports (at the top level and
+        inside a subsystem) has a document, so its jobs run and hit the
+        model cache like its int-wired twin's."""
+        req = lambda: MILRequest(builder=port_wired,
+                                 builder_kwargs={"port": np.int64},
+                                 dt=1e-3, t_final=0.05)
+        with SimServe(workers=1) as svc:
+            first = svc.submit(req()).record(timeout=60.0)
+            second = svc.submit(req()).record(timeout=60.0)
+        for rec in (first, second):
+            assert rec.state is JobState.DONE, rec.error
+        assert not first.cache_hit and second.cache_hit
+        ref = simulate(port_wired(int), 0.05, dt=1e-3)
+        for rec in (first, second):
+            assert ref.names == rec.result.names
+            for name in ref.names:
+                assert np.array_equal(ref[name], rec.result[name]), name
 
     def test_repeat_submission_bit_identical_despite_cache(self):
         """A cache hit must change latency only, never the numbers."""
