@@ -11,7 +11,8 @@ artifact.  SimServe warm jobs, new design points and process-pool
 children therefore ``dlopen`` an existing ``.so`` instead of
 recompiling.  The lookup hashes each
 distinct TU text once per process and creates each cache directory once
-per path; every bind still checks that the ``.so`` exists.  The text
+per path; every bind still checks that the ``.so`` exists (the first
+one in a process checks its bytes too, see below).  The text
 itself is regenerated in-process (cheap, deterministic) for every new
 compiled model, and kept across runs by one that memoizes its lowering
 (SimServe's cached models, see ``CompiledModel.lowering_memo``), so a
@@ -19,9 +20,16 @@ warm SimServe job renders and hashes nothing.
 
 Layout under the cache dir (``$REPRO_NATIVE_CACHE`` or
 ``~/.cache/repro-native``): ``<key>.c``, ``<key>.so``, ``<key>.json``
-(stats sidecar).  Writes go through a temp file + ``os.replace`` so
-concurrent processes never observe a half-written artifact.  A cache
-directory that cannot be created or written raises
+(the sidecar: the ``.so``'s size and SHA-256, the TU sha, fingerprint
+and template version it was built from, and its compile time).  Writes
+go through a temp file + ``os.replace``, the sidecar before the ``.so``,
+so concurrent processes never observe a half-written artifact.  The
+first bind of a path in a process checks the ``.so`` against its
+sidecar before anything maps it (a path this process built counts as
+checked): a truncated or foreign ``.so``, or one without a sidecar that
+names its key, is a miss and is built again, since the loader would map
+whatever bytes it finds (a truncated ``.so`` faults the process with
+SIGBUS).  A cache directory that cannot be created or written raises
 :class:`ToolchainError`, like a failed compile; a build re-creates a
 directory removed since its first use.
 
@@ -307,15 +315,48 @@ class _Artifact:
         self.key = artifact_key(self.tu_sha, fp)
         self.dir = cache_dir()
         self.so_path = os.path.join(self.dir, f"{self.key}.so")
+        self.meta_path = os.path.join(self.dir, f"{self.key}.json")
+
+    def identity(self, so_file: str) -> dict:
+        """What the sidecar says of the artifact in ``so_file``."""
+        with open(so_file, "rb") as f:
+            data = f.read()
+        return {"tu_sha": self.tu_sha, "fingerprint": self.fingerprint,
+                "template": TEMPLATE_VERSION, "so_size": len(data),
+                "so_sha256": hashlib.sha256(data).hexdigest()}
+
+
+#: artifact ``.so`` paths this process checked against their sidecar, or
+#: built itself
+_checked: set[str] = set()
+
+
+def _built(art: _Artifact) -> bool:
+    """Whether the cache holds ``art``'s ``.so``: on the path's first
+    bind in this process, whether the file is the one its sidecar
+    describes; later, whether it still exists."""
+    path = art.so_path
+    if path in _checked:
+        return os.path.exists(path)
+    try:
+        with open(art.meta_path) as f:
+            meta = json.load(f)
+        ok = (isinstance(meta, dict) and all(
+            meta.get(k) == v for k, v in art.identity(path).items()))
+    except (OSError, ValueError):  # no sidecar or no .so, or unreadable
+        return False
+    if ok:
+        _checked.add(path)
+    return ok
 
 
 def _claim(art: _Artifact) -> tuple[Optional[_Build], bool]:
-    """``(build, leader)``; ``(None, False)`` when the artifact exists."""
+    """``(build, leader)``; ``(None, False)`` when the artifact is built."""
     with _builds_lock:
         build = _inflight.get(art.so_path)
         if build is not None:
             return build, False
-        if os.path.exists(art.so_path):
+        if _built(art):
             return None, False
         build = _inflight[art.so_path] = _Build()
         _failed.pop(art.so_path, None)
@@ -363,18 +404,16 @@ def _build(art: _Artifact, build: _Build) -> None:
             if rc != 0:
                 _count("errors")
                 raise ToolchainError(f"cc failed ({rc}): {out.strip()[-2000:]}")
+            compile_s = perf_counter() - t0
+            meta = dict(art.identity(tmp_so), compile_s=compile_s)
+            _atomic_write(art.meta_path,
+                          json.dumps(meta, indent=2, sort_keys=True))
             os.replace(tmp_so, art.so_path)
+            _checked.add(art.so_path)
         finally:
             if os.path.exists(tmp_so):
                 os.unlink(tmp_so)
-        compile_s = perf_counter() - t0
         _count("", compile_s=compile_s)
-        _atomic_write(os.path.join(art.dir, f"{art.key}.json"), json.dumps({
-            "tu_sha": art.tu_sha,
-            "fingerprint": art.fingerprint,
-            "compile_s": compile_s,
-            "template": TEMPLATE_VERSION,
-        }, indent=2, sort_keys=True))
     except OSError as exc:  # cache-directory I/O (or starting cc) failed
         build.error = str(exc)
         raise ToolchainError(build.error) from exc
@@ -413,7 +452,7 @@ def reuse_compiled(source: str) -> Optional[str]:
     waits for ``cc``.  Raises :class:`ToolchainError` when there is no
     toolchain, or when this process already failed to build the key."""
     art = _Artifact(source)
-    if os.path.exists(art.so_path):
+    if _built(art):
         _count("hits")
         return art.so_path
     with _builds_lock:

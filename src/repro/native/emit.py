@@ -8,6 +8,13 @@ derivative pass, and the fixed-step integrator with the reference
 association order — so a compiled run is bit-identical (atol=0) to the
 reference interpreter.
 
+The minor pass evaluates at RK4 stages 2 and 3 only the blocks some
+derivative reads (:func:`_deriv_closure`); the rest of the plan's minor
+blocks sit inside ``if (full)``, which only stage 4 of the last step of
+an ``nx_run`` call sets.  Nothing reads what they write before the next
+major pass rewrites it, so the one copy a caller can observe — the
+signals an ``nx_run`` call returns with — is the reference's.
+
 The TU is reentrant: it has no mutable file-scope state.  Every entry
 point takes an ``nx_ctx`` — a struct of pointers to buffers the Python
 executor owns (signals, continuous state, discrete work, integrator
@@ -62,7 +69,7 @@ from repro.model.kernels import AffineRun, KernelPlan, _affine_spec
 
 #: Bump when emitted C changes shape — part of the disk-cache key, so
 #: stale artifacts from older emitters can never be dlopen'ed.
-TEMPLATE_VERSION = "5"
+TEMPLATE_VERSION = "6"
 
 
 class NativeLoweringError(Exception):
@@ -420,11 +427,43 @@ def _block_chunk(qname: str, lines: list[str]) -> list[str]:
 
 
 def _guarded(div: int, lines: list[str]) -> list[str]:
-    if div in (0, 1) or not lines:
+    if div in (0, 1):
         return lines
-    return ([f"  if (step % {div} == 0) {{"]
-            + ["  " + ln for ln in lines]
-            + ["  }"])
+    return _if(f"step % {div} == 0", lines)
+
+
+def _if(cond: str, lines: list[str]) -> list[str]:
+    if not lines:
+        return lines
+    return [f"  if ({cond}) {{"] + ["  " + ln for ln in lines] + ["  }"]
+
+
+def _deriv_closure(cm, plan: KernelPlan) -> set[str]:
+    """The minor blocks an RK4 stage must evaluate: the producers of every
+    input of a block with a derivative, closed backward through *every*
+    input of such a producer (not only the feed-through ones, so a
+    parameter value — a ``StateSpace`` ``D`` — never changes the set).
+
+    What the rest writes is read by nobody before the next major pass
+    rewrites it, in order, as long as a block's outputs read only its
+    feed-through inputs (the :meth:`~repro.model.block.Block.feeds_through`
+    contract), since the order puts a feed-through input's producer first.
+    The one block whose outputs read another input, ``StateSpace`` with
+    ``D = 0`` (``0.0 * u``), has a derivative, so its inputs are roots."""
+    minor = set(plan.minor_qnames)
+    producer = {idx: q for (q, _p), idx in cm.sig_index.items()}
+    roots: list[int] = []
+    for qname in cm.order:
+        if cm.state_count[qname] and not getattr(cm.nodes[qname],
+                                                 "triggerable", False):
+            roots += cm.input_map[qname]
+    needed: set[str] = set()
+    while roots:
+        qname = producer.get(roots.pop())
+        if qname in minor and qname not in needed:
+            needed.add(qname)
+            roots += cm.input_map[qname]
+    return needed
 
 
 def _held_buffer(qname: str, tpl, block):
@@ -507,9 +546,19 @@ def generate_program(sim, plan: KernelPlan) -> NativeProgram:
         out_lines += _guarded(entry.divisor, low.site(tu, entry.qname, "outputs"))
 
     # ---- minor pass (dirty closure) -------------------------------------
+    # what no derivative reads runs only when ``full`` is set: at the last
+    # stage of a call's last step, whose signals the caller can observe
+    needed = _deriv_closure(cm, plan)
     minor_lines: list[str] = []
+    rest: list[str] = []
     for qname in plan.minor_qnames:
-        minor_lines += low.site(tu, qname, "outputs")
+        lines = low.site(tu, qname, "outputs")
+        if qname in needed:
+            minor_lines += _if("full", rest) + lines
+            rest = []
+        else:
+            rest += lines
+    minor_lines += _if("full", rest)
 
     # ---- update pass -----------------------------------------------------
     upd_lines: list[str] = []
@@ -607,10 +656,10 @@ def _render(cm, sim, n_params, n_dwork, n_held, scope_sigs, out_lines,
     L.extend(out_lines)
     w("}")
     w("")
-    w("static void out_minor(const nx_ctx *c, double t)")
+    w("static void out_minor(const nx_ctx *c, double t, int full)")
     w("{")
     w("  NX_LOCALS;")
-    w("  (void)t;")
+    w("  (void)t; (void)full;")
     L.extend(minor_lines)
     w("}")
     w("")
@@ -629,12 +678,13 @@ def _render(cm, sim, n_params, n_dwork, n_held, scope_sigs, out_lines,
         L.extend(deriv_lines)
         w("}")
         w("")
-    w("static void integrate(const nx_ctx *c, double t)")
+    w("static void integrate(const nx_ctx *c, double t, int full)")
     w("{")
     if not n_states:
-        w("  (void)c; (void)t;")
+        w("  (void)c; (void)t; (void)full;")
     elif opts.solver == "euler":
         w("  int i;")
+        w("  (void)full;")
         w("  double *X = c->X, *K1 = c->W + NSTATE;")
         w("  deriv(c, t, K1);")
         w("  for (i = 0; i < NSTATE; i++) X[i] = X[i] + DT * K1[i];")
@@ -652,13 +702,13 @@ def _render(cm, sim, n_params, n_dwork, n_held, scope_sigs, out_lines,
         w("  for (i = 0; i < NSTATE; i++) X0[i] = X[i];")
         w("  deriv(c, t, K1);")
         w("  for (i = 0; i < NSTATE; i++) X[i] = X0[i] + half_dt * K1[i];")
-        w("  out_minor(c, half);")
+        w("  out_minor(c, half, 0);")
         w("  deriv(c, half, K2);")
         w("  for (i = 0; i < NSTATE; i++) X[i] = X0[i] + half_dt * K2[i];")
-        w("  out_minor(c, half);")
+        w("  out_minor(c, half, 0);")
         w("  deriv(c, half, K3);")
         w("  for (i = 0; i < NSTATE; i++) X[i] = X0[i] + DT * K3[i];")
-        w("  out_minor(c, t + DT);")
+        w("  out_minor(c, t + DT, full);")
         w("  deriv(c, t + DT, K4);")
         w("  for (i = 0; i < NSTATE; i++)")
         w("    X[i] = X0[i] + sixth * (K1[i] + 2.0 * K2[i] + 2.0 * K3[i] + K4[i]);")
@@ -680,7 +730,7 @@ def _render(cm, sim, n_params, n_dwork, n_held, scope_sigs, out_lines,
     w("    if (trace_out) memcpy(trace_out + i * NSIG, S, "
       "sizeof(double) * NSIG);")
     w("    upd(c, step, t);")
-    w("    integrate(c, t);")
+    w("    integrate(c, t, i == n - 1);")
     w("  }")
     w("}")
     return "\n".join(L) + "\n"

@@ -175,12 +175,15 @@ def _check_rows(name: str, arr, n: int, width: int) -> None:
 
 
 #: a chunk of fewer block-steps (steps x lanes x scheduled blocks) than
-#: this runs on the calling thread.  Starting and joining a thread costs
-#: about 90 us on a 2-vCPU host, and a servo lane-step (18 blocks) about
-#: 0.11 us, so 100k block-steps are about 0.6 ms of work, and a two-way
-#: split of them saves about three times what its hand-off costs.  A
-#: coalesced SimServe batch of 201-step servo jobs (at most 16 lanes x
-#: 201 steps x 18 blocks, about 58k block-steps) stays on one thread.
+#: this runs on the calling thread.  A servo lane-step (18 blocks) costs
+#: about 49 ns in a 16-lane chunk, so 100k block-steps are about 0.27 ms
+#: of work.  On a 2-vCPU host (medians of 40 chunks), 16 servo lanes x
+#: 4096 steps ran in 3.19 ms as one group and 1.85 ms as two, while
+#: 16 x 201 steps (58k block-steps: the most a coalesced SimServe batch
+#: of 201-step servo jobs holds) ran in 0.18 ms as one group and 0.34 ms
+#: as two, so it stays on one thread.  Two groups broke even near
+#: 16 x 600 steps (about 170k block-steps; 16 x 350 ran in 0.29 ms as one
+#: group and 0.39 ms as two).
 SPLIT_MIN_BLOCK_STEPS = 100_000
 
 

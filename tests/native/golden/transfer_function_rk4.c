@@ -1,6 +1,6 @@
 /* generated by repro.native — do not edit
  * model: h
- * dt: 0.001  solver: rk4  template: v5
+ * dt: 0.001  solver: rk4  template: v6
  * bit-exact mirror of repro.model.engine reference passes
  */
 #include <math.h>
@@ -48,20 +48,24 @@ static void out_major(const nx_ctx *c, long long step, double t)
   S[3] = P[6];
 }
 
-static void out_minor(const nx_ctx *c, double t)
+static void out_minor(const nx_ctx *c, double t, int full)
 {
   NX_LOCALS;
-  (void)t;
-  { /* b */
-    double v3 = X[0];
-    double v4 = S[1];
-    S[0] = P[7] * v3 + P[8] * v4;
+  (void)t; (void)full;
+  if (full) {
+    { /* b */
+      double v3 = X[0];
+      double v4 = S[1];
+      S[0] = P[7] * v3 + P[8] * v4;
+    }
   }
   { /* d0 */
     S[1] = P[9] + P[10] * sin(P[11] * t + P[12]);
   }
-  { /* d1 */
-    S[2] = t;
+  if (full) {
+    { /* d1 */
+      S[2] = t;
+    }
   }
 }
 
@@ -80,7 +84,7 @@ static void deriv(const nx_ctx *c, double t, double *XD)
   }
 }
 
-static void integrate(const nx_ctx *c, double t)
+static void integrate(const nx_ctx *c, double t, int full)
 {
   int i;
   double *X = c->X, *X0 = c->W;
@@ -91,13 +95,13 @@ static void integrate(const nx_ctx *c, double t)
   for (i = 0; i < NSTATE; i++) X0[i] = X[i];
   deriv(c, t, K1);
   for (i = 0; i < NSTATE; i++) X[i] = X0[i] + half_dt * K1[i];
-  out_minor(c, half);
+  out_minor(c, half, 0);
   deriv(c, half, K2);
   for (i = 0; i < NSTATE; i++) X[i] = X0[i] + half_dt * K2[i];
-  out_minor(c, half);
+  out_minor(c, half, 0);
   deriv(c, half, K3);
   for (i = 0; i < NSTATE; i++) X[i] = X0[i] + DT * K3[i];
-  out_minor(c, t + DT);
+  out_minor(c, t + DT, full);
   deriv(c, t + DT, K4);
   for (i = 0; i < NSTATE; i++)
     X[i] = X0[i] + sixth * (K1[i] + 2.0 * K2[i] + 2.0 * K3[i] + K4[i]);
@@ -114,7 +118,7 @@ void nx_run(const nx_ctx *c, long long start, long long n, double *scope_out, do
     scope_out[i * 1 + 0] = S[0];
     if (trace_out) memcpy(trace_out + i * NSIG, S, sizeof(double) * NSIG);
     upd(c, step, t);
-    integrate(c, t);
+    integrate(c, t, i == n - 1);
   }
 }
 /* P[0] = 0x1.9000000000000p+6  b */

@@ -1,6 +1,6 @@
 /* generated by repro.native — do not edit
  * model: h
- * dt: 0.001  solver: rk4  template: v5
+ * dt: 0.001  solver: rk4  template: v6
  * bit-exact mirror of repro.model.engine reference passes
  */
 #include <math.h>
@@ -49,15 +49,17 @@ static void out_major(const nx_ctx *c, long long step, double t)
   S[3] = P[4];
 }
 
-static void out_minor(const nx_ctx *c, double t)
+static void out_minor(const nx_ctx *c, double t, int full)
 {
   NX_LOCALS;
-  (void)t;
-  { /* d0 */
-    S[1] = P[5] + P[6] * sin(P[7] * t + P[8]);
-  }
-  { /* d1 */
-    S[2] = t;
+  (void)t; (void)full;
+  if (full) {
+    { /* d0 */
+      S[1] = P[5] + P[6] * sin(P[7] * t + P[8]);
+    }
+    { /* d1 */
+      S[2] = t;
+    }
   }
 }
 
@@ -76,9 +78,9 @@ static void upd(const nx_ctx *c, long long step, double t)
   }
 }
 
-static void integrate(const nx_ctx *c, double t)
+static void integrate(const nx_ctx *c, double t, int full)
 {
-  (void)c; (void)t;
+  (void)c; (void)t; (void)full;
 }
 
 void nx_run(const nx_ctx *c, long long start, long long n, double *scope_out, double *trace_out)
@@ -92,7 +94,7 @@ void nx_run(const nx_ctx *c, long long start, long long n, double *scope_out, do
     scope_out[i * 1 + 0] = S[0];
     if (trace_out) memcpy(trace_out + i * NSIG, S, sizeof(double) * NSIG);
     upd(c, step, t);
-    integrate(c, t);
+    integrate(c, t, i == n - 1);
   }
 }
 /* P[0] = 0x0.0p+0  d0 */

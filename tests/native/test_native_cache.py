@@ -11,18 +11,24 @@ passes that ``cc`` started, nor its temp file outlives the process; a
 build that reaches ``cc`` only after exit began does not start it.
 Builds of different artifacts run at most one ``cc`` per usable CPU at
 a time.  A cache directory that cannot be created or written is a
-compile error: the run falls back to Python, bit for bit.
+compile error: the run falls back to Python, bit for bit.  A corrupt
+artifact (a truncated or foreign ``.so``, a missing sidecar, a sidecar
+of another TU) is a miss: a fresh process builds it again and runs
+native, bit for bit with ``REPRO_NATIVE=off``.
 """
 
 import errno
+import json
 import multiprocessing
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.model import Simulator, SimulationOptions
@@ -384,3 +390,135 @@ class TestExit:
             _assert_gone(int(pidfile.read_text()))
         assert not pidfile.exists(), "a build started cc after exit began"
         assert not list(cache_dir.glob("*.tmp"))
+
+
+#: runs the servo in a fresh interpreter (``argv``: src dir, output
+#: ``.npz``, native mode) and prints what bound and what the cache counted;
+#: under ``"auto"`` the first (short) run may be ``compile_pending``, so it
+#: waits for the build and runs again
+_SERVO_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from repro.casestudy import ServoConfig, build_servo_model
+from repro.model import Simulator, SimulationOptions
+from repro.native import native_cache_stats, wait_pending
+
+mode = {"True": True, "auto": "auto"}[sys.argv[3]]
+reasons = []
+for _ in range(2):
+    sim = Simulator(build_servo_model(ServoConfig(setpoint=100.0)).model,
+                    SimulationOptions(dt=1e-4, t_final=0.02, native=mode))
+    res = sim.run()
+    reasons.append(sim.native_fallback_reason)
+    if sim.native_active or mode is True:
+        break
+    assert wait_pending(120)
+np.savez(sys.argv[2], t=res.t, signals=np.asarray(sim.signals), x=sim.x,
+         **{"log:" + n: res[n] for n in res.names})
+stats = native_cache_stats()
+print(json.dumps({"native": sim.native_active, "reasons": reasons,
+                  "misses": stats["misses"], "hits": stats["hits"]}))
+"""
+
+
+def _probe(cache_dir, out, mode="True", native_env=None):
+    env = dict(os.environ, REPRO_NATIVE_CACHE=str(cache_dir))
+    env.pop("REPRO_NATIVE", None)
+    if native_env:
+        env["REPRO_NATIVE"] = native_env
+    proc = subprocess.run([sys.executable, "-c", _SERVO_PROBE, SRC, str(out),
+                           mode], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+    with np.load(out) as saved:
+        arrays = {k: saved[k].tobytes() for k in saved.files}
+    return json.loads(proc.stdout.splitlines()[-1]), arrays
+
+
+@pytest.fixture(scope="module")
+def healthy_servo(tmp_path_factory):
+    """A cache holding the servo's artifact, and the bytes of a
+    ``REPRO_NATIVE=off`` run."""
+    if find_cc() is None:
+        pytest.skip("no C compiler on PATH (cc/gcc/clang)")
+    root = tmp_path_factory.mktemp("corrupt")
+    built, _ = _probe(root / "cache", root / "built.npz")
+    assert built["native"] and built["misses"] == 1, built
+    _, ref = _probe(root / "off-cache", root / "off.npz", native_env="off")
+    return root / "cache", ref
+
+
+def _third(so, meta):
+    so.write_bytes(so.read_bytes()[: so.stat().st_size // 3])
+
+
+def _four_fifths(so, meta):
+    so.write_bytes(so.read_bytes()[: so.stat().st_size * 4 // 5])
+
+
+def _empty(so, meta):
+    so.write_bytes(b"")
+
+
+def _foreign(so, meta):
+    so.write_bytes(bytes((7 * i) % 251 for i in range(so.stat().st_size)))
+
+
+def _no_sidecar(so, meta):
+    meta.unlink()
+
+
+def _other_tu(so, meta):
+    doc = json.loads(meta.read_text())
+    doc["tu_sha"] = "0" * 64
+    meta.write_text(json.dumps(doc))
+
+
+CORRUPTIONS = {f.__name__.lstrip("_"): f for f in (
+    _third, _four_fifths, _empty, _foreign, _no_sidecar, _other_tu)}
+
+
+class TestCorruptArtifact:
+    """Each corruption in a fresh process: exit 0, one rebuild, native,
+    and bit-equal to ``REPRO_NATIVE=off``."""
+
+    def _corrupt(self, healthy, tmp_path, name):
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(healthy, cache_dir)
+        (so,) = cache_dir.glob("*.so")
+        meta = so.with_suffix(".json")
+        # replaced as a whole, as a crashed or foreign writer leaves it
+        broken = tmp_path / "broken.so"
+        shutil.copy(so, broken)
+        CORRUPTIONS[name](broken, meta)
+        os.replace(broken, so)
+        return cache_dir, so
+
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_rebuilds_and_runs_native(self, healthy_servo, tmp_path, name):
+        healthy, ref = healthy_servo
+        cache_dir, so = self._corrupt(healthy, tmp_path, name)
+        got, arrays = _probe(cache_dir, tmp_path / "run.npz")
+        assert got["native"] and got["reasons"] == [None], got
+        assert got["misses"] == 1 and got["hits"] == 0, got
+        assert arrays == ref
+        meta = json.loads(so.with_suffix(".json").read_text())
+        assert meta["so_size"] == so.stat().st_size
+
+    def test_reuse_reports_pending_then_binds_the_rebuild(
+            self, healthy_servo, tmp_path):
+        healthy, ref = healthy_servo
+        cache_dir, _so = self._corrupt(healthy, tmp_path, "third")
+        got, arrays = _probe(cache_dir, tmp_path / "run.npz", mode="auto")
+        assert got["reasons"] == ["compile_pending", None], got
+        assert got["native"] and got["misses"] == 1, got
+        assert arrays == ref
+
+    def test_a_healthy_artifact_is_a_hit(self, healthy_servo, tmp_path):
+        healthy, ref = healthy_servo
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(healthy, cache_dir)
+        got, arrays = _probe(cache_dir, tmp_path / "run.npz")
+        assert got["native"] and got["misses"] == 0 and got["hits"] == 1, got
+        assert arrays == ref

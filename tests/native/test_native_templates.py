@@ -79,6 +79,11 @@ class TestGolden:
         factory, dt, solver = CASES["mixed_rate_rk4"]
         tu = tu_for(factory, dt, solver)
         assert f"template: v{TEMPLATE_VERSION}" in tu
+        # v6: the minor pass runs what no derivative reads only when the
+        # integrator passes ``full``, at the last step of an nx_run call
+        assert TEMPLATE_VERSION == "6"
+        assert "static void out_minor(const nx_ctx *c, double t, int full)" in tu
+        assert "    integrate(c, t, i == n - 1);" in tu
         for sym in ("nx_ctx", "nx_run"):
             assert sym in tu
         # nx_run is the one entry point: no per-step export
