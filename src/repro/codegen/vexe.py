@@ -83,6 +83,15 @@ class VirtualExecutable:
         for hook in self._start_hooks:
             hook()
 
+    def unload(self) -> None:
+        """Drop the task set and the init hooks once a run is over: their
+        actions close over the application that loaded them.  The
+        device's vector table goes with
+        :meth:`~repro.mcu.device.MCUDevice.close`; :meth:`records` stays
+        readable."""
+        self.tasks.clear()
+        self._start_hooks.clear()
+
     # ------------------------------------------------------------------
     # profiling access (PIL measurements)
     # ------------------------------------------------------------------

@@ -105,6 +105,14 @@ class CANBus:
     def pending_count(self) -> int:
         return len(self._pending)
 
+    def close(self) -> None:
+        """Release a finished run: drop the subscribed nodes, the frames
+        still queued and the scheduler.  The delivery counts (and so
+        :meth:`utilization`) stay readable."""
+        self._subscribers.clear()
+        self._pending.clear()
+        self.scheduler = None
+
     def utilization(self, horizon: float) -> float:
         """Fraction of ``horizon`` the bus spent carrying bits."""
         if horizon <= 0:

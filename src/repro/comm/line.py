@@ -122,6 +122,14 @@ class SerialLine:
         self.bytes_delivered[to] += 1
         sink(byte)
 
+    def close(self) -> None:
+        """Release a finished run: drop both endpoints' receive callbacks,
+        the fault hook and the scheduler, which close over the rig that
+        wired them.  The byte counts stay readable."""
+        self._sinks.clear()
+        self.fault = None
+        self.scheduler = None
+
     # ------------------------------------------------------------------
     @property
     def total_bytes(self) -> int:

@@ -88,3 +88,9 @@ class SPIBus:
     @property
     def busy(self) -> bool:
         return self._busy
+
+    def close(self) -> None:
+        """Release a finished run: drop the slave's receive callback and
+        the scheduler.  The transfer counts stay readable."""
+        self.on_slave_rx = None
+        self.scheduler = None

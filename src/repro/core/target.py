@@ -375,6 +375,24 @@ class DeployedApplication:
             raise TargetError("deploy() first")
         self.device.run_for(duration)
 
+    def close(self) -> None:
+        """Release a finished co-simulation run: close the device
+        (:meth:`~repro.mcu.device.MCUDevice.close`), drop the ISR task
+        set and the init hooks (closures over this application), the
+        post-step callbacks (closures over the rig that added them), and
+        detach the model/project sync.
+        Reference counting then frees the deployment on its last
+        reference.  The run's measurements stay readable
+        (:meth:`profiler`, :meth:`memory_report`, ``step_count``); the
+        application is single-use, and later edits to the model no
+        longer reach :attr:`project`."""
+        if self.device is not None:
+            self.device.close()
+        if self.vexe is not None:
+            self.vexe.unload()
+        self.post_step_callbacks.clear()
+        self.sync.close()
+
     # ------------------------------------------------------------------
     # measurements
     # ------------------------------------------------------------------

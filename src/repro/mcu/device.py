@@ -175,6 +175,24 @@ class MCUDevice:
         return len(self._queue) + len(self._now)
 
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Take a finished run's device apart, so that reference counting
+        frees it and the rig it drove once the last reference goes.
+
+        Drops the events still queued and those due now (their callbacks
+        close over whatever scheduled them), the vector table, and the
+        ISR stack and pending set (a handler still running at the end of
+        the run holds its source's callbacks), and detaches every
+        peripheral.  What the run measured stays readable: the CPU ledger
+        (records, busy time, nesting), the clock, the chip and each
+        peripheral's own registers.  A closed device runs no more
+        events."""
+        self._queue.clear()
+        self._now.clear()
+        self.intc.close()
+        for p in self.peripherals.values():
+            p.device = None
+
     def reset(self) -> None:
         """Power-on reset: clears peripherals and the event queue (the
         interrupt vector table / registered sources survive, as the same

@@ -213,6 +213,14 @@ class InterruptController:
         self._stack.clear()
         self._pending.clear()
 
+    def close(self) -> None:
+        """Release a finished run (see :meth:`MCUDevice.close`): the
+        execution state, the vector table with the callbacks its sources
+        hold, and the back reference to the device."""
+        self.reset_runtime()
+        self.sources.clear()
+        self.device = None
+
     @property
     def busy(self) -> bool:
         return bool(self._stack)

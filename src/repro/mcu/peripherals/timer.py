@@ -10,6 +10,7 @@ error, distinct from dispatch jitter).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from .base import Peripheral
@@ -66,19 +67,22 @@ class PeriodicTimer(Peripheral):
             raise RuntimeError(f"timer '{self.name}' not configured")
         self._running = True
         self._generation += 1
-        gen = self._generation
         t0 = dev.time
+        dev.schedule(t0 + self.period,
+                     partial(self._tick, dev, self._generation, t0, 1))
 
-        def tick(k: int) -> None:
-            if not self._running or gen != self._generation:
-                return
-            self.tick_count += 1
-            self.raise_irq()
-            # schedule from the configured grid, not from "now": a hardware
-            # reload counter does not accumulate dispatch error
-            dev.schedule(t0 + (k + 1) * self.period, lambda: tick(k + 1))
-
-        dev.schedule(t0 + self.period, lambda: tick(1))
+    def _tick(self, dev, gen: int, t0: float, k: int) -> None:
+        """Overflow ``k`` of the counting started at ``t0`` (generation
+        ``gen``); a method, not a closure that schedules itself, so a
+        stopped or closed timer is no reference cycle."""
+        if not self._running or gen != self._generation:
+            return
+        self.tick_count += 1
+        self.raise_irq()
+        # schedule from the configured grid, not from "now": a hardware
+        # reload counter does not accumulate dispatch error
+        dev.schedule(t0 + (k + 1) * self.period,
+                     partial(self._tick, dev, gen, t0, k + 1))
 
     def stop(self) -> None:
         self._running = False

@@ -232,10 +232,11 @@ class _LaneEntry:
     """Per-lane fallback: lane ``b`` runs its own deep-copied block."""
 
     __slots__ = ("divisor", "qname", "blocks", "ctxs", "in_idx", "out_idx",
-                 "S", "sim", "off", "n_states", "has_update", "fires", "_u")
+                 "S", "dispatch", "off", "n_states", "has_update", "fires",
+                 "_u")
 
-    def __init__(self, divisor, qname, blocks, ctxs, in_idx, out_idx, S, sim,
-                 off, n_states):
+    def __init__(self, divisor, qname, blocks, ctxs, in_idx, out_idx, S,
+                 dispatch, off, n_states):
         self.divisor = divisor
         self.qname = qname
         self.blocks = blocks
@@ -243,7 +244,7 @@ class _LaneEntry:
         self.in_idx = in_idx
         self.out_idx = out_idx
         self.S = S
-        self.sim = sim
+        self.dispatch = dispatch
         self.off = off
         self.n_states = n_states
         self.has_update = type(blocks[0]).update is not Block.update
@@ -255,7 +256,7 @@ class _LaneEntry:
     def out(self, t: float) -> None:
         S = self.S
         in_idx, out_idx = self.in_idx, self.out_idx
-        sim = self.sim
+        dispatch = self.dispatch
         u = self._u
         for b, (blk, ctx) in enumerate(zip(self.blocks, self.ctxs)):
             for k, i in enumerate(in_idx):
@@ -267,8 +268,8 @@ class _LaneEntry:
         # immaterial; flushing once per entry (instead of inside the lane
         # loop) lets the dispatcher group fired lanes per event — each
         # lane's "ISR" still reads exactly that lane's current data
-        if sim._pending:
-            sim._flush_dispatch()
+        if dispatch.pending:
+            dispatch.flush(t)
 
     def out_minor(self, t: float) -> None:
         S = self.S
@@ -303,6 +304,108 @@ class _LaneEntry:
             for k, i in enumerate(in_idx):
                 u[k] = S[i, b]
             xdot[off : off + n, b] = blk.derivatives(t, u, ctx)
+
+
+class _Dispatch:
+    """The numpy engine's event dispatch: the queue of ``(qname, port,
+    lane)`` fires and the per-event fire census, each triggered block's
+    lane clones (and fused kernel), and the dispatch counters.  The lane
+    contexts and per-lane entries hold this, not the simulator, so an
+    ensemble is freed on its last reference."""
+
+    __slots__ = ("cm", "S", "n_lanes", "pending", "fired", "trig",
+                 "trig_out", "trig_u", "trig_fused", "fused_dispatches",
+                 "fused_lane_dispatches", "compacted_dispatches",
+                 "compacted_lane_dispatches", "perlane_dispatches")
+
+    def __init__(self, cm: CompiledModel, S: np.ndarray, n_lanes: int):
+        self.cm = cm
+        self.S = S
+        self.n_lanes = n_lanes
+        self.pending: deque[tuple[str, int, int]] = deque()
+        self.fired: dict[tuple[str, int], int] = {}
+        #: triggered qname -> [(lane clone, ctx)], output signals, input
+        #: scratch, and fused kernel (planned blocks only)
+        self.trig: dict[str, list[tuple[Block, BlockContext]]] = {}
+        self.trig_out: dict[str, list[int]] = {}
+        self.trig_u: dict[str, list] = {}
+        self.trig_fused: dict[str, FusedTriggerKernel] = {}
+        self.fused_dispatches = 0
+        self.fused_lane_dispatches = 0
+        self.compacted_dispatches = 0
+        self.compacted_lane_dispatches = 0
+        self.perlane_dispatches = 0
+
+    def make_fire(self, qname: str, lane: int) -> Callable[[int], None]:
+        pending = self.pending
+        fired = self.fired
+
+        def fire(event_port: int) -> None:
+            pending.append((qname, event_port, lane))
+            key = (qname, event_port)
+            fired[key] = fired.get(key, 0) + 1
+
+        return fire
+
+    def flush(self, t: float) -> None:
+        """Drain the pending queue at time ``t``, grouping adjacent fires
+        of the same event into one multi-lane dispatch.
+
+        The queue is lane-major (emitters fire inside their lane loop),
+        so the common case — one event port fired by ``K`` lanes —
+        becomes a single group.  Lanes are independent columns: merging
+        adjacent same-event entries only reorders work *across* lanes,
+        never within one lane, so the serial per-lane ordering (and with
+        it bit-identity) is preserved.  Groups dispatch through the
+        target's :class:`FusedTriggerKernel` when one was planned —
+        full-width when every lane fired, *compacted* onto the fired
+        subset when the event diverged — and lane-by-lane otherwise.
+        Targets that fire during execution re-enter the census, matching
+        the old FIFO cascade order.
+        """
+        pending = self.pending
+        targets = self.cm.event_targets
+        trig_fused = self.trig_fused
+        B = self.n_lanes
+        while pending:
+            qname, event_port, lane = pending.popleft()
+            lanes = [lane]
+            while (
+                pending
+                and pending[0][0] == qname
+                and pending[0][1] == event_port
+            ):
+                lanes.append(pending.popleft()[2])
+            K = len(lanes)
+            for target in targets.get((qname, event_port), ()):
+                kern = trig_fused.get(target)
+                if kern is None:
+                    for b in lanes:
+                        self._execute(target, b, t)
+                    self.perlane_dispatches += K
+                    continue
+                if K == B and len(set(lanes)) == B:
+                    kern.apply(self.S, None, B)
+                else:
+                    kern.apply(self.S, np.array(lanes, dtype=np.intp), K)
+                    self.compacted_dispatches += 1
+                    self.compacted_lane_dispatches += K
+                clones = self.trig[target]
+                for b in lanes:
+                    clones[b][0].call_count += 1
+                self.fused_dispatches += 1
+                self.fused_lane_dispatches += K
+
+    def _execute(self, qname: str, lane: int, t: float) -> None:
+        block, ctx = self.trig[qname][lane]
+        S = self.S
+        u = self.trig_u[qname]
+        for k, i in enumerate(self.cm.input_map[qname]):
+            u[k] = S[i, lane]
+        out = block.outputs(t, u, ctx)
+        for j, v in zip(self.trig_out[qname], out):
+            S[j, lane] = v
+        block.update(t, u, ctx)
 
 
 class BatchSimulator:
@@ -344,18 +447,13 @@ class BatchSimulator:
         self.X = np.zeros((cm.n_states, self.n_lanes))
         self.step_index = 0
         self.time = 0.0
-        self._pending: deque[tuple[str, int, int]] = deque()
-        self._fired: dict[tuple[str, int], int] = {}
+        self._dispatch = _Dispatch(cm, self.S, self.n_lanes)
+        self._fired = self._dispatch.fired
         self._lanes_diverged = 0
         self._diverged_events = 0
         # lane compaction (fused trigger dispatch)
         self._compaction = bool(compaction)
-        self._trig_fused: dict[str, FusedTriggerKernel] = {}
-        self._fused_dispatches = 0
-        self._fused_lane_dispatches = 0
-        self._compacted_dispatches = 0
-        self._compacted_lane_dispatches = 0
-        self._perlane_dispatches = 0
+        self._trig_fused = self._dispatch.trig_fused
         self._fused_counted = 0
         self._compacted_counted = 0
         # solver work buffers (vector RK4 over the whole state matrix)
@@ -368,9 +466,7 @@ class BatchSimulator:
         self._upd_pass: list[tuple[int, Callable[[float], None]]] = []
         self._deriv_pass: list[Callable[[float, np.ndarray], None]] = []
         self._scope_sched: list[tuple[str, int]] = []
-        self._trig: dict[str, list[tuple[Block, BlockContext]]] = {}
-        self._trig_out: dict[str, list[int]] = {}
-        self._trig_u: dict[str, list] = {}
+        self._trig = self._dispatch.trig
         self._terminate: list[tuple[Block, BlockContext]] = []
         #: what the run logs (made in initialize)
         self.log = None
@@ -409,13 +505,14 @@ class BatchSimulator:
         a fused kernel — exactly the work the pre-compaction engine paid
         per-lane Python fallback for.
         """
+        d = self._dispatch
         return {
-            "fused_dispatches": self._fused_dispatches,
-            "fused_lane_dispatches": self._fused_lane_dispatches,
-            "compacted_dispatches": self._compacted_dispatches,
-            "compacted_lane_dispatches": self._compacted_lane_dispatches,
-            "perlane_dispatches": self._perlane_dispatches,
-            "recovered_lane_steps": self._compacted_lane_dispatches,
+            "fused_dispatches": d.fused_dispatches,
+            "fused_lane_dispatches": d.fused_lane_dispatches,
+            "compacted_dispatches": d.compacted_dispatches,
+            "compacted_lane_dispatches": d.compacted_lane_dispatches,
+            "perlane_dispatches": d.perlane_dispatches,
+            "recovered_lane_steps": d.compacted_lane_dispatches,
         }
 
     # ------------------------------------------------------------------
@@ -481,17 +578,6 @@ class BatchSimulator:
                     f"scenario {lane}: cannot set '{qname}.{attr}': {exc}"
                 ) from exc
         return clone
-
-    def _make_fire(self, qname: str, lane: int) -> Callable[[int], None]:
-        pending = self._pending
-        fired = self._fired
-
-        def fire(event_port: int) -> None:
-            pending.append((qname, event_port, lane))
-            key = (qname, event_port)
-            fired[key] = fired.get(key, 0) + 1
-
-        return fire
 
     def initialize(self) -> None:
         """Validate scenarios, then bind native lanes or else plan the
@@ -626,6 +712,7 @@ class BatchSimulator:
         cm = self.cm
         B = self.n_lanes
         S, X = self.S, self.X
+        dispatch = self._dispatch
         plan = plan_kernels(cm)  # reuse the structural minor-step closure
         overridden = {q for sc in self.scenarios for q in sc.overrides}
 
@@ -670,18 +757,18 @@ class BatchSimulator:
                             clone.initial_continuous_states(), dtype=np.float64
                         )
                     ctx.x = X[off : off + n_states, b]
-                    ctx._fire = self._make_fire(qname, b)
+                    ctx._fire = dispatch.make_fire(qname, b)
                     clone.start(ctx)
                     lanes.append((clone, ctx))
                     self._terminate.append((clone, ctx))
                 self._trig[qname] = lanes
-                self._trig_out[qname] = [
+                dispatch.trig_out[qname] = [
                     cm.sig_index[(qname, p)] for p in range(block.n_out)
                 ]
-                self._trig_u[qname] = [0.0] * len(cm.input_map[qname])
+                dispatch.trig_u[qname] = [0.0] * len(cm.input_map[qname])
                 if self._compaction and qname not in overridden:
                     kern = plan_fused_trigger(
-                        block, cm.input_map[qname], self._trig_out[qname], B
+                        block, cm.input_map[qname], dispatch.trig_out[qname], B
                     )
                     if kern is not None:
                         self._trig_fused[qname] = kern
@@ -774,13 +861,13 @@ class BatchSimulator:
                             clone.initial_continuous_states(), dtype=np.float64
                         )
                     ctx.x = X[off : off + n_states, b]
-                    ctx._fire = self._make_fire(qname, b)
+                    ctx._fire = dispatch.make_fire(qname, b)
                     clone.start(ctx)
                     blocks.append(clone)
                     ctxs.append(ctx)
                     self._terminate.append((clone, ctx))
                 entry = _LaneEntry(
-                    div, qname, blocks, ctxs, in_sigs, out_idx, S, self,
+                    div, qname, blocks, ctxs, in_sigs, out_idx, S, dispatch,
                     off, n_states,
                 )
                 n_lane += 1
@@ -855,66 +942,6 @@ class BatchSimulator:
     # ------------------------------------------------------------------
     # event dispatch
     # ------------------------------------------------------------------
-    def _flush_dispatch(self) -> None:
-        """Drain the pending queue, grouping adjacent fires of the same
-        event into one multi-lane dispatch.
-
-        The queue is lane-major (emitters fire inside their lane loop),
-        so the common case — one event port fired by ``K`` lanes —
-        becomes a single group.  Lanes are independent columns: merging
-        adjacent same-event entries only reorders work *across* lanes,
-        never within one lane, so the serial per-lane ordering (and with
-        it bit-identity) is preserved.  Groups dispatch through the
-        target's :class:`FusedTriggerKernel` when one was planned —
-        full-width when every lane fired, *compacted* onto the fired
-        subset when the event diverged — and lane-by-lane otherwise.
-        Targets that fire during execution re-enter the census, matching
-        the old FIFO cascade order.
-        """
-        pending = self._pending
-        targets = self.cm.event_targets
-        trig_fused = self._trig_fused
-        B = self.n_lanes
-        while pending:
-            qname, event_port, lane = pending.popleft()
-            lanes = [lane]
-            while (
-                pending
-                and pending[0][0] == qname
-                and pending[0][1] == event_port
-            ):
-                lanes.append(pending.popleft()[2])
-            K = len(lanes)
-            for target in targets.get((qname, event_port), ()):
-                kern = trig_fused.get(target)
-                if kern is None:
-                    for b in lanes:
-                        self._execute_triggered(target, b)
-                    self._perlane_dispatches += K
-                    continue
-                if K == B and len(set(lanes)) == B:
-                    kern.apply(self.S, None, B)
-                else:
-                    kern.apply(self.S, np.array(lanes, dtype=np.intp), K)
-                    self._compacted_dispatches += 1
-                    self._compacted_lane_dispatches += K
-                clones = self._trig[target]
-                for b in lanes:
-                    clones[b][0].call_count += 1
-                self._fused_dispatches += 1
-                self._fused_lane_dispatches += K
-
-    def _execute_triggered(self, qname: str, lane: int) -> None:
-        block, ctx = self._trig[qname][lane]
-        S = self.S
-        u = self._trig_u[qname]
-        for k, i in enumerate(self.cm.input_map[qname]):
-            u[k] = S[i, lane]
-        out = block.outputs(self.time, u, ctx)
-        for j, v in zip(self._trig_out[qname], out):
-            S[j, lane] = v
-        block.update(self.time, u, ctx)
-
     def _flush_fired(self) -> None:
         B = self.n_lanes
         for cnt in self._fired.values():
@@ -1053,18 +1080,19 @@ class BatchSimulator:
                 "lanes that skipped an event another lane took",
             ).inc(self._lanes_diverged)
             self._diverged_events = 0
-        if self._fused_lane_dispatches != self._fused_counted:
+        d = self._dispatch
+        if d.fused_lane_dispatches != self._fused_counted:
             reg.counter(
                 "batch_fused_lane_dispatches_total",
                 "triggered lane-calls executed through fused kernels",
-            ).inc(self._fused_lane_dispatches - self._fused_counted)
-            self._fused_counted = self._fused_lane_dispatches
-        if self._compacted_lane_dispatches != self._compacted_counted:
+            ).inc(d.fused_lane_dispatches - self._fused_counted)
+            self._fused_counted = d.fused_lane_dispatches
+        if d.compacted_lane_dispatches != self._compacted_counted:
             reg.counter(
                 "batch_compacted_lane_dispatches_total",
                 "fused lane-calls recovered from diverged (subset) events",
-            ).inc(self._compacted_lane_dispatches - self._compacted_counted)
-            self._compacted_counted = self._compacted_lane_dispatches
+            ).inc(d.compacted_lane_dispatches - self._compacted_counted)
+            self._compacted_counted = d.compacted_lane_dispatches
 
     def result(self) -> BatchSimulationResult:
         """Assemble a :class:`BatchSimulationResult` from the logs so far."""

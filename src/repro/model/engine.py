@@ -43,7 +43,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -159,11 +159,6 @@ class Simulator:
             self._x0 = [0.0] * n
             self._k = [[0.0] * n for _ in range(4)]
             self._srange = range(n)
-        # active pass implementations (bound in initialize)
-        self._out_major: Callable[[float, int], None] = self._ref_out_major
-        self._out_minor: Callable[[float], None] = self._ref_out_minor
-        self._update: Callable[[float, int], None] = self._ref_update
-        self._deriv: Callable[[float, np.ndarray], None] = self._ref_deriv
         #: the bound kernel fast path (None on the reference and native
         #: paths)
         self.fast_path = None
@@ -303,6 +298,7 @@ class Simulator:
             self._kernel_fallback("kernel_plan_refused", str(exc))
             return
         self.fast_path = fp
+        # plain functions: they shadow the class-level reference passes
         self._out_major = fp.out_major
         self._out_minor = fp.out_minor
         self._update = fp.update
@@ -460,35 +456,9 @@ class Simulator:
 
         return fire
 
-    def _dispatch_events(self) -> None:
-        pending = self._pending_events
-        while pending:
-            qname, event_port = pending.popleft()
-            for target in self.cm.event_targets.get((qname, event_port), ()):
-                self._execute_triggered(target)
-
     # ------------------------------------------------------------------
     # reference interpreter passes
     # ------------------------------------------------------------------
-    def _inputs_of(self, qname: str) -> list[float]:
-        sigs = self.signals
-        return [sigs[i] for i in self.cm.input_map[qname]]
-
-    def _store_outputs(self, qname: str, values: Sequence[float]) -> None:
-        cm = self.cm
-        sigs = self.signals
-        for port, v in enumerate(values):
-            sigs[cm.sig_index[(qname, port)]] = float(v)
-
-    def _execute_triggered(self, qname: str) -> None:
-        """Synchronously run a function-call target (ISR semantics)."""
-        block = self.cm.nodes[qname]
-        ctx = self._ctxs[qname]
-        u = self._inputs_of(qname)
-        out = block.outputs(self.time, u, ctx)
-        self._store_outputs(qname, out)
-        block.update(self.time, u, ctx)
-
     def _ref_out_major(self, t: float, step: int) -> None:
         sigs = self.signals
         pending = self._pending_events
@@ -503,7 +473,7 @@ class Simulator:
             for j, v in zip(out_idx, out):
                 sigs[j] = float(v)
             if pending:
-                self._dispatch_events()
+                dispatch_events(self.cm, self._ctxs, sigs, pending, t)
 
     def _ref_out_minor(self, t: float) -> None:
         # only continuous/inherited blocks participate in minor steps
@@ -539,6 +509,16 @@ class Simulator:
                 u[k] = sigs[i]
                 k += 1
             xdot[off : off + n] = block.derivatives(t, u, ctx)
+
+    # The active passes.  A Python path binds its generated kernel passes
+    # as instance attributes (:meth:`_bind_fast_path`); otherwise these
+    # class-level aliases resolve to the reference passes.  Storing
+    # ``self._ref_*`` on the instance instead would make the simulator a
+    # cycle that only the collector frees.
+    _out_major = _ref_out_major
+    _out_minor = _ref_out_minor
+    _update = _ref_update
+    _deriv = _ref_deriv
 
     # ------------------------------------------------------------------
     # stepping
@@ -745,6 +725,25 @@ class Simulator:
     def write_signal(self, qname: str, port: int, value: float) -> None:
         """Force a value onto an output line (co-simulation injection)."""
         self.signals[self.cm.sig_index[(qname, port)]] = float(value)
+
+
+def dispatch_events(cm: CompiledModel, ctxs: dict, sigs, pending: deque,
+                    t: float) -> None:
+    """Run the function-call targets of every queued ``(qname, port)``
+    event of ``pending`` at time ``t``, each synchronously (ISR
+    semantics: outputs stored into ``sigs``, then its update), until the
+    queue is empty: the reference pass's dispatch and, bound to one run's
+    state, the kernel fast path's (which so holds no simulator)."""
+    while pending:
+        qname, event_port = pending.popleft()
+        for target in cm.event_targets.get((qname, event_port), ()):
+            block = cm.nodes[target]
+            ctx = ctxs[target]
+            u = [sigs[i] for i in cm.input_map[target]]
+            out = block.outputs(t, u, ctx)
+            for port, v in enumerate(out):
+                sigs[cm.sig_index[(target, port)]] = float(v)
+            block.update(t, u, ctx)
 
 
 def advance_steps(sim, n_steps: int) -> None:

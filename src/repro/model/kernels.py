@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -387,7 +388,7 @@ class FusedTriggerKernel:
       ``const + c0*u0 + c1*u1 + ...`` left-to-right, the reference
       accumulation order, on inner scratch rows,
     * latches — scatter each Outport's source row back onto the outer
-      signal matrix, exactly what ``_execute_triggered`` writes.
+      signal matrix, exactly what a per-lane dispatch writes.
 
     :func:`plan_fused_trigger` only builds a kernel when the replay is
     provably equivalent to the per-lane executor: no inner state, no
@@ -525,9 +526,16 @@ class FastPath:
     Exposes ``out_major(t, step)``, ``out_minor(t)``, ``update(t, step)``
     and ``deriv(t, xdot)`` with the exact semantics of the reference
     interpreter passes (event dispatch points included).
+
+    The passes close over the run's state (signals, contexts, the event
+    queue), never over the simulator, and the namespace they run in does
+    not hold them: a simulator holding its fast path is no cycle, so it
+    is freed on its last reference.
     """
 
     def __init__(self, sim: "Simulator", plan: KernelPlan):
+        from .engine import dispatch_events
+
         self.plan = plan
         cm = sim.cm
         self._code_cache = getattr(cm, "codegen_cache", None)
@@ -535,7 +543,8 @@ class FastPath:
             self._code_cache = {}
         ns: dict = {
             "_E": (),
-            "_dsp": sim._dispatch_events,
+            "_dsp": partial(dispatch_events, cm, sim._ctxs, sim.signals,
+                            sim._pending_events),
             "_pend": sim._pending_events,
             "_sigs": sim.signals,
         }
@@ -568,7 +577,7 @@ class FastPath:
             lines = [f"r = o{n}(t, {_gather_expr(in_idx)}, c{n})"]
             lines += [f"sigs[{j}] = float(r[{p}])" for p, j in enumerate(out_idx)]
             if block.n_events:
-                lines.append("if _pend: _dsp()")
+                lines.append("if _pend: _dsp(t)")
             out_frags.append(_Fragment(entry.divisor, tuple(lines)))
             if type(block).update is not Block.update:
                 ns[f"u{n}"] = block.update
@@ -622,7 +631,7 @@ class FastPath:
             n += 1
 
         self.out_major = self._build_phased(
-            "out", out_frags, plan.hyperperiod, prologue=("if _pend: _dsp()",)
+            "out", out_frags, plan.hyperperiod, prologue=("if _pend: _dsp(t)",)
         )
         self.update = self._build_phased("upd", upd_frags, plan.hyperperiod)
         self.out_minor = self._compile(
@@ -657,7 +666,9 @@ class FastPath:
                 raise KernelPlanError(f"generated pass failed to compile: {exc}")
             self._code_cache[src] = code
         exec(code, self._ns)
-        return self._ns[name]
+        # the function's globals are the namespace: keeping it there too
+        # would make a cycle
+        return self._ns.pop(name)
 
     def _build_phased(self, tag, frags, hyper, prologue=()):
         """One function per hyperperiod phase (or a single guarded one)."""

@@ -21,7 +21,8 @@ warm SimServe job renders and hashes nothing.
 Layout under the cache dir (``$REPRO_NATIVE_CACHE`` or
 ``~/.cache/repro-native``): ``<key>.c``, ``<key>.so``, ``<key>.json``
 (the sidecar: the ``.so``'s size and SHA-256, the TU sha, fingerprint
-and template version it was built from, and its compile time).  Writes
+and template version it was built from, and its compile time) and
+``<key>.lock`` (the build lock, below).  Writes
 go through a temp file + ``os.replace``, the sidecar before the ``.so``,
 so concurrent processes never observe a half-written artifact.  The
 first bind of a path in a process checks the ``.so`` against its
@@ -36,16 +37,24 @@ directory removed since its first use.
 Builds are single-flight per key within a process: the first caller
 runs ``cc``, later callers wait for it (:func:`ensure_compiled`) or
 return at once (:func:`reuse_compiled`, which starts the build on a
-background thread).  At most one ``cc`` per CPU this process may use
-runs at a time; further builds queue for a slot.  A forked child starts
-with an empty in-flight table and free slots, and a build still running
-when the interpreter exits is abandoned (its ``cc`` is killed; the next
-process starts it again).
+background thread).  Across processes a build holds an ``flock`` on
+``<key>.lock``, which the OS drops if its holder dies: a process that
+finds the lock held waits for it, checks the cache again and binds the
+other process's artifact as a hit (:func:`ensure_compiled`), or leaves
+the key to that process and reports it pending (:func:`reuse_compiled`),
+so one ``cc`` serves every process binding a cold key.  At most one
+``cc`` per CPU this process may use runs at a time; further builds queue
+for a slot.  A forked child starts with an empty in-flight table and
+free slots, and builds a key its parent was building without waiting
+for the parent's lock, which it shares; a build still running when the
+interpreter exits is abandoned (its ``cc`` is killed; the next process
+starts it again).
 """
 
 from __future__ import annotations
 
 import atexit
+import fcntl
 import hashlib
 import json
 import os
@@ -247,6 +256,13 @@ _failed: dict[str, str] = {}
 _procs: dict = {}
 #: set at interpreter exit: from then on no build starts ``cc``
 _exiting = False
+#: artifact ``.so`` path -> the descriptor of its lock file, while this
+#: process builds it
+_locked: dict[str, int] = {}
+#: in a forked child, the paths its parent was building at the fork: the
+#: child builds them without the lock its parent holds (see
+#: :func:`_reset_after_fork`)
+_forked_during: set[str] = set()
 
 
 def cc_slots() -> int:
@@ -267,14 +283,25 @@ def _reset_after_fork() -> None:
     """A forked child inherits the in-flight table but not the threads
     building its entries (nor the release of a lock or slot one of them
     held): start the child with fresh locks, free slots and nothing in
-    flight."""
+    flight.  It also inherits the descriptors of the key locks those
+    builds hold, which share the parent's lock: the child closes its
+    copies (the lock stays the parent's, and dies with it) and builds
+    those keys on its own, as it would have without the lock."""
     global _lock, _stats_lock, _builds_lock, _inflight, _procs, _cc_gate
+    global _locked
     _lock = threading.Lock()
     _stats_lock = threading.Lock()
     _builds_lock = threading.Lock()
     _inflight = {}
     _procs = {}
     _cc_gate = threading.BoundedSemaphore(cc_slots())
+    for path, fd in _locked.items():
+        _forked_during.add(path)
+        try:
+            os.close(fd)
+        except OSError:
+            pass  # closed by the parent's thread as the fork happened
+    _locked = {}
 
 
 os.register_at_fork(after_in_child=_reset_after_fork)
@@ -316,6 +343,7 @@ class _Artifact:
         self.dir = cache_dir()
         self.so_path = os.path.join(self.dir, f"{self.key}.so")
         self.meta_path = os.path.join(self.dir, f"{self.key}.json")
+        self.lock_path = os.path.join(self.dir, f"{self.key}.lock")
 
     def identity(self, so_file: str) -> dict:
         """What the sidecar says of the artifact in ``so_file``."""
@@ -363,6 +391,35 @@ def _claim(art: _Artifact) -> tuple[Optional[_Build], bool]:
         return build, True
 
 
+def _lock_key(art: _Artifact, wait: bool) -> Optional[int]:
+    """Take the cross-process build lock of ``art``'s key: the descriptor
+    holding an ``flock`` on ``<key>.lock``, or ``None`` when another
+    process holds it and ``wait`` is false (with ``wait``, block until
+    the holder releases it or dies)."""
+    fd = os.open(art.lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX if wait
+                    else fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        return None
+    except BaseException:
+        os.close(fd)
+        raise
+    _locked[art.so_path] = fd
+    return fd
+
+
+def _unlock_key(art: _Artifact, fd: int) -> None:
+    """Release the lock :func:`_lock_key` took (an explicit unlock: a
+    child forked meanwhile holds a copy of the descriptor)."""
+    _locked.pop(art.so_path, None)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_UN)
+    finally:
+        os.close(fd)
+
+
 def _run_cc(argv: list, tmp_so: str) -> tuple[int, str]:
     # a free slot first (waited for outside the build lock); then started
     # and registered under the lock that exit takes, so every ``cc``
@@ -388,11 +445,22 @@ def _run_cc(argv: list, tmp_so: str) -> tuple[int, str]:
     return proc.returncode, err or out
 
 
-def _build(art: _Artifact, build: _Build) -> None:
-    """The leader's compile; always releases the followers."""
+def _build(art: _Artifact, build: _Build, wait: bool = True) -> None:
+    """The leader's compile, under the key's cross-process lock; always
+    releases the followers.  When another process holds the lock, the
+    leader waits for it and binds that process's artifact as a hit, or,
+    without ``wait``, leaves the key to it (nothing built, no error)."""
+    lock = None
     try:
-        _count("misses")
         _make_dir(art.dir)  # removed since this process first made it
+        if art.so_path not in _forked_during:
+            lock = _lock_key(art, wait)
+            if lock is None:
+                return  # another process builds it: a later bind finds it
+            if _built(art):
+                _count("hits")  # built by the process that held the lock
+                return
+        _count("misses")
         c_path = os.path.join(art.dir, f"{art.key}.c")
         _atomic_write(c_path, art.source)
         t0 = perf_counter()
@@ -421,6 +489,8 @@ def _build(art: _Artifact, build: _Build) -> None:
         build.error = str(exc) or type(exc).__name__
         raise
     finally:
+        if lock is not None:
+            _unlock_key(art, lock)
         with _builds_lock:
             if build.error is not None:
                 _failed[art.so_path] = build.error
@@ -433,17 +503,20 @@ def ensure_compiled(source: str) -> str:
     at most once per (TU, toolchain) across processes and threads —
     concurrent callers for one key wait for the first one's ``cc``."""
     art = _Artifact(source)
-    build, leader = _claim(art)
-    if build is None:
-        _count("hits")
-    elif leader:
-        _build(art, build)
-    else:
+    while True:
+        build, leader = _claim(art)
+        if build is None:
+            _count("hits")
+            return art.so_path
+        if leader:
+            _build(art, build)
+            return art.so_path
         build.done.wait()
         if build.error is not None:
             raise ToolchainError(build.error)
-        _count("hits")
-    return art.so_path
+        # claim again: the build is found built (a hit), or, when a
+        # background leader left the key to another process, this caller
+        # leads and waits for that process's lock
 
 
 def reuse_compiled(source: str) -> Optional[str]:
@@ -473,7 +546,7 @@ def reuse_compiled(source: str) -> Optional[str]:
 
 def _build_quietly(art: _Artifact, build: _Build) -> None:
     try:
-        _build(art, build)
+        _build(art, build, wait=False)
     except ToolchainError:
         pass  # recorded in ``_failed``; the next bind reports it
 

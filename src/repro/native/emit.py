@@ -69,7 +69,7 @@ from repro.model.kernels import AffineRun, KernelPlan, _affine_spec
 
 #: Bump when emitted C changes shape — part of the disk-cache key, so
 #: stale artifacts from older emitters can never be dlopen'ed.
-TEMPLATE_VERSION = "6"
+TEMPLATE_VERSION = "7"
 
 
 class NativeLoweringError(Exception):
@@ -442,7 +442,10 @@ def _deriv_closure(cm, plan: KernelPlan) -> set[str]:
     """The minor blocks an RK4 stage must evaluate: the producers of every
     input of a block with a derivative, closed backward through *every*
     input of such a producer (not only the feed-through ones, so a
-    parameter value — a ``StateSpace`` ``D`` — never changes the set).
+    parameter value — a ``StateSpace`` ``D`` — never changes the set),
+    except the inputs of a block whose template's outputs read none
+    (``NativeTemplate.outputs_read_inputs``, e.g. a co-simulation proxy's
+    held outputs): the closure stops there.
 
     What the rest writes is read by nobody before the next major pass
     rewrites it, in order, as long as a block's outputs read only its
@@ -450,6 +453,9 @@ def _deriv_closure(cm, plan: KernelPlan) -> set[str]:
     contract), since the order puts a feed-through input's producer first.
     The one block whose outputs read another input, ``StateSpace`` with
     ``D = 0`` (``0.0 * u``), has a derivative, so its inputs are roots."""
+    from .templates import ensure_installed
+
+    reg = ensure_installed()
     minor = set(plan.minor_qnames)
     producer = {idx: q for (q, _p), idx in cm.sig_index.items()}
     roots: list[int] = []
@@ -462,7 +468,9 @@ def _deriv_closure(cm, plan: KernelPlan) -> set[str]:
         qname = producer.get(roots.pop())
         if qname in minor and qname not in needed:
             needed.add(qname)
-            roots += cm.input_map[qname]
+            tpl = reg.lookup_native(type(cm.nodes[qname]))
+            if tpl is None or tpl.outputs_read_inputs:
+                roots += cm.input_map[qname]
     return needed
 
 

@@ -35,6 +35,12 @@ class NativeTemplate:
     float literal, and ``em.line(...)`` appends a statement.
     """
 
+    #: whether the C that :meth:`outputs` emits reads any input
+    #: (``em.u``); ``False`` lets an RK4 stage evaluate the block without
+    #: evaluating its inputs' producers first (the derivative closure
+    #: stops there)
+    outputs_read_inputs = True
+
     def refuse(self, block: Block) -> Optional[str]:
         return None
 
@@ -81,6 +87,8 @@ class NativeTemplate:
 class HeldOutputs(NativeTemplate):
     """Outputs that hold what a co-simulation harness last wrote into the
     block's ``held`` array (e.g. :class:`repro.sim.split.ControllerProxy`)."""
+
+    outputs_read_inputs = False
 
     def held(self, b):
         return b.held

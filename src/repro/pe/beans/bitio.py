@@ -73,13 +73,13 @@ class BitIOBean(Bean):
 
     # ------------------------------------------------------------------
     def bind(self, device, resource_name) -> None:
-        super().bind(device, resource_name)
         spec = device.chip.peripheral_spec("gpio")
         width = spec.params.get("width", 8)
         pin = self.get_property("pin")
         port = device.gpio(pin // width)
         local = pin % width
         self._port, self._local = port, local
+        super().bind(device, resource_name)
         port.set_direction(local, "out" if self.get_property("direction") == "output" else "in")
         if self.get_property("direction") == "output":
             port.write(local, self.get_property("init_value"))
@@ -89,11 +89,15 @@ class BitIOBean(Bean):
             port.irq_vector = self.event_vector("OnEdge")
 
     def _build_impl(self, device) -> dict[str, Any]:
+        # the pin, not the bean: a method closing over the bean that holds
+        # it would be a reference cycle
+        port, local = self._port, self._local
+
         def get_val() -> int:
-            return self._port.read(self._local)
+            return port.read(local)
 
         def put_val(v: int) -> None:
-            self._port.write(self._local, v)
+            port.write(local, v)
 
         def neg_val() -> None:
             put_val(1 - get_val())

@@ -87,7 +87,11 @@ class HILSimulator:
             app.run_for(self.plant_dt)
             self._apply_actuation()
             self.plant_sim.advance()
-        return self.plant_sim.result()
+        result = self.plant_sim.result()
+        # the run is over: release the deployment (its device, tasks and
+        # sync) so reference counting frees it; the CPU ledger stays
+        app.close()
+        return result
 
     def profiler(self) -> Profiler:
         return self.app.profiler()

@@ -579,7 +579,7 @@ class PILSimulator:
         for ch in (self.host_channel, self.mcu_channel):
             if ch is not None:
                 health = health.merge(ch.health)
-        return PILResult(
+        out = PILResult(
             result=result,
             control_period=self.app.tick_period,
             bytes_to_mcu=self.link.bytes_to_mcu,
@@ -603,6 +603,27 @@ class PILSimulator:
             max_consecutive_loss=self._max_consec_missed,
             safe_state_steps=self._safe_state_steps,
         )
+        self._release()
+        return out
+
+    def _release(self) -> None:
+        """Take the finished rig apart, so that reference counting frees
+        it on its last reference instead of a full collection: drop the
+        callbacks that close over this simulator (the decoders', the ARQ
+        channels', the watchdog's and the link's), then close the
+        application (:meth:`~repro.core.target.DeployedApplication.close`:
+        its device, task set, post-step callbacks and model/project
+        sync).  The run's measurements stay readable: ``device.cpu``,
+        :meth:`profiler`, ``sci``, the channels' ``health``."""
+        for decoder in (self._host_decoder, self._mcu_decoder):
+            decoder.on_packet = decoder.on_error = None
+        for ch in (self.host_channel, self.mcu_channel):
+            if ch is not None:
+                ch.scheduler = ch.raw_send = ch.deliver = None
+        if self._watchdog is not None:
+            self._watchdog.on_reset = None
+        self.link.release()
+        self.app.close()
 
     def profiler(self) -> Profiler:
         return self.app.profiler()

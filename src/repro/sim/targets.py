@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, TYPE_CHECKING
 
 from repro.comm import CANBus, HostSerialPort, SerialLine, SPIBus
@@ -89,6 +90,12 @@ class LinkAdapter(abc.ABC):
     def mcu_send(self, frame: bytes) -> None:
         """Ship a frame from the board to the simulator PC."""
 
+    def release(self) -> None:
+        """Undo what :meth:`install` wired that closes over the rig, once
+        its run is over (the device's vector table goes with
+        :meth:`~repro.mcu.device.MCUDevice.close`).  The byte counts stay
+        readable."""
+
     @property
     @abc.abstractmethod
     def byte_time(self) -> float: ...
@@ -142,6 +149,12 @@ class RS232Adapter(LinkAdapter):
 
     def mcu_send(self, frame: bytes) -> None:
         self.sci.send(frame)
+
+    def release(self) -> None:
+        if self.host is not None:
+            self.host.on_byte = None
+        if self.line is not None:
+            self.line.close()
 
     @property
     def byte_time(self) -> float:
@@ -207,6 +220,11 @@ class SPIAdapter(LinkAdapter):
         self.slave.queue_tx(frame)
         self._to_host += len(frame)
 
+    def release(self) -> None:
+        self._pil = None
+        if self.bus is not None:
+            self.bus.close()
+
     @property
     def byte_time(self) -> float:
         return 8.0 / self.clock_hz
@@ -248,12 +266,10 @@ class CANAdapter(LinkAdapter):
         self.bus: Optional[CANBus] = None
         self._to_mcu = 0
         self._to_host = 0
-        self._pil: Optional["PILSimulator"] = None
         self.app_frames_sent = 0
 
     def install(self, pil: "PILSimulator") -> None:
         device = pil.device
-        self._pil = pil
         self.bus = CANBus(device, self.bitrate)
         # MCU node: accepts the sensor id, raises the rx ISR per frame
         rx_buffer = bytearray()
@@ -280,12 +296,18 @@ class CANAdapter(LinkAdapter):
             self._schedule_app(device, can_id, dlc, period)
 
     def _schedule_app(self, device, can_id: int, dlc: int, period: float) -> None:
-        def tick(k: int) -> None:
-            self.bus.send(can_id, bytes(dlc))
-            self.app_frames_sent += 1
-            device.schedule((k + 1) * period, lambda: tick(k + 1))
+        device.schedule(period,
+                        partial(self._app_tick, device, can_id, dlc, period, 1))
 
-        device.schedule(period, lambda: tick(1))
+    def _app_tick(self, device, can_id: int, dlc: int, period: float,
+                  k: int) -> None:
+        """Application message ``k`` of one periodic stream (a method,
+        not a closure that schedules itself: no reference cycle)."""
+        self.bus.send(can_id, bytes(dlc))
+        self.app_frames_sent += 1
+        device.schedule((k + 1) * period,
+                        partial(self._app_tick, device, can_id, dlc, period,
+                                k + 1))
 
     def _fragment(self, can_id: int, frame: bytes) -> None:
         for i in range(0, len(frame), 8):
@@ -298,6 +320,10 @@ class CANAdapter(LinkAdapter):
     def mcu_send(self, frame: bytes) -> None:
         self._to_host += len(frame)
         self._fragment(self.act_id, frame)
+
+    def release(self) -> None:
+        if self.bus is not None:
+            self.bus.close()
 
     @property
     def byte_time(self) -> float:

@@ -1,6 +1,6 @@
 /* generated by repro.native — do not edit
  * model: rates
- * dt: 0.001  solver: euler  template: v6
+ * dt: 0.001  solver: euler  template: v7
  * bit-exact mirror of repro.model.engine reference passes
  */
 #include <math.h>

@@ -1,6 +1,6 @@
 /* generated by repro.native — do not edit
  * model: h
- * dt: 0.001  solver: rk4  template: v6
+ * dt: 0.001  solver: rk4  template: v7
  * bit-exact mirror of repro.model.engine reference passes
  */
 #include <math.h>

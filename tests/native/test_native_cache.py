@@ -14,10 +14,14 @@ a time.  A cache directory that cannot be created or written is a
 compile error: the run falls back to Python, bit for bit.  A corrupt
 artifact (a truncated or foreign ``.so``, a missing sidecar, a sidecar
 of another TU) is a miss: a fresh process builds it again and runs
-native, bit for bit with ``REPRO_NATIVE=off``.
+native, bit for bit with ``REPRO_NATIVE=off``.  Across processes, one
+key is compiled once: a second process waits for the first one's build
+lock and binds its artifact, or, under ``reuse``, leaves the key to it;
+a holder that dies releases the key.
 """
 
 import errno
+import fcntl
 import json
 import multiprocessing
 import os
@@ -522,3 +526,98 @@ class TestCorruptArtifact:
         got, arrays = _probe(cache_dir, tmp_path / "run.npz")
         assert got["native"] and got["misses"] == 0 and got["hits"] == 1, got
         assert arrays == ref
+
+
+def _logging_cc(tmp_path, delay):
+    """A ``cc`` that reports the real compiler's version, and otherwise
+    appends its arguments to a log, sleeps ``delay`` seconds and runs the
+    real compiler: ``(compiler, log)``."""
+    log = tmp_path / "cc.log"
+    fake = tmp_path / "logging-cc"
+    fake.write_text(
+        "#!/bin/sh\n"
+        f'[ "$1" = "--version" ] && exec {find_cc()} --version\n'
+        f'echo "$*" >> {log}\n'
+        f"sleep {delay}\n"
+        f'exec {find_cc()} "$@"\n'
+    )
+    fake.chmod(0o755)
+    return fake, log
+
+
+class TestCrossProcess:
+    """One ``cc`` per key across processes: a build holds an ``flock`` on
+    the key's lock file; a process finding it held waits and binds the
+    other's artifact as a hit, or, under ``reuse``, reports it pending
+    and starts no ``cc``."""
+
+    def test_two_processes_binding_one_cold_key_compile_once(self, tmp_path):
+        require_cc()
+        fake, log = _logging_cc(tmp_path, delay=1.5)
+        cache_dir = tmp_path / "cache"
+        env = dict(os.environ, REPRO_NATIVE_CACHE=str(cache_dir),
+                   REPRO_NATIVE_CC=str(fake))
+        env.pop("REPRO_NATIVE", None)
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", _SERVO_PROBE, SRC,
+             str(tmp_path / f"run{i}.npz"), "True"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) for i in range(2)]
+        outs = [p.communicate(timeout=300) for p in procs]
+        assert all(p.returncode == 0 for p in procs), [e[-2000:] for _o, e in outs]
+        got = [json.loads(o.splitlines()[-1]) for o, _e in outs]
+        compiles = [ln for ln in log.read_text().splitlines() if " -o " in ln]
+        assert len(compiles) == 1, compiles
+        assert all(g["native"] and g["reasons"] == [None] for g in got), got
+        assert sorted((g["misses"], g["hits"]) for g in got) == [(0, 1), (1, 0)]
+        _, ref = _probe(tmp_path / "off-cache", tmp_path / "off.npz",
+                        native_env="off")
+        for i in range(2):
+            with np.load(tmp_path / f"run{i}.npz") as saved:
+                assert {k: saved[k].tobytes() for k in saved.files} == ref
+
+    def test_reuse_leaves_a_locked_key_to_its_holder(self, monkeypatch):
+        """A lock held elsewhere (a second open file description of the
+        lock file, as another process holds it): pending, and no ``cc``
+        until it is released."""
+        require_cc()
+        calls = _count_cc(monkeypatch)
+        source = generate_tu(_sim(False))
+        held = os.open(cache._Artifact(source).lock_path,
+                       os.O_RDWR | os.O_CREAT)
+        try:
+            fcntl.flock(held, fcntl.LOCK_EX)
+            for _ in range(2):
+                assert cache.reuse_compiled(source) is None
+                assert cache.wait_pending(60)
+            assert calls == []
+        finally:
+            os.close(held)
+        assert cache.reuse_compiled(source) is None
+        assert cache.wait_pending(60)
+        assert len(calls) == 1
+        assert cache.reuse_compiled(source) is not None
+
+    def test_a_dead_holder_releases_the_key(self, tmp_path):
+        """The holder is killed mid-build: the lock dies with it, and a
+        waiting process compiles the key itself."""
+        require_cc()
+        source = generate_tu(_sim(False))
+        lock_path = cache._Artifact(source).lock_path
+        with subprocess.Popen(
+                [sys.executable, "-c",
+                 "import fcntl, os, sys, time\n"
+                 "fd = os.open(sys.argv[1], os.O_RDWR | os.O_CREAT)\n"
+                 "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+                 "print('held', flush=True)\n"
+                 "time.sleep(60)\n", lock_path],
+                stdout=subprocess.PIPE, text=True) as holder:
+            try:
+                assert holder.stdout.readline().strip() == "held"
+                threading.Timer(0.5, holder.kill).start()
+                before = native_cache_stats()
+                path = cache.ensure_compiled(source)
+            finally:
+                holder.kill()
+        assert os.path.exists(path)
+        assert native_cache_stats()["misses"] == before["misses"] + 1

@@ -237,6 +237,24 @@ class TestMinorPassText:
             "plant.tacho_clip */"]
         assert len(rows) == 2
 
+    def test_split_plant_stages_two_and_three_evaluate_proxy_and_stage(self):
+        """The PIL plant: the motor's derivative reads the power stage,
+        which reads the controller proxy, whose held outputs read none of
+        its inputs, so the closure stops at the proxy and the encoder and
+        the motor outputs it is wired to run at stage 4 only."""
+        from repro.sim import split_plant_model
+
+        plant, _proxy = split_plant_model(SERVO(), "controller")
+        unguarded, guarded = _minor_body(_tu(lambda: plant, 1e-4))
+        blocks = [ln.split("/* ")[1] for ln in unguarded
+                  if ln.startswith("  { /* ")]
+        assert blocks == ["controller */", "plant.stage */"]
+        assert not [ln for ln in unguarded if ln.startswith("  S[")]
+        chunks = [ln.split("/* ")[1] for ln in guarded
+                  if ln.startswith("    { /* ")]
+        assert chunks == ["plant.motor */", "plant.encoder */",
+                          "plant.tacho_clip */"]
+
     def test_a_block_a_derivative_reads_runs_at_every_stage(self):
         unguarded, guarded = _minor_body(_tu(CASES["transfer_function"][0],
                                              1e-3))

@@ -80,8 +80,10 @@ class TestGolden:
         tu = tu_for(factory, dt, solver)
         assert f"template: v{TEMPLATE_VERSION}" in tu
         # v6: the minor pass runs what no derivative reads only when the
-        # integrator passes ``full``, at the last step of an nx_run call
-        assert TEMPLATE_VERSION == "6"
+        # integrator passes ``full``, at the last step of an nx_run call;
+        # v7: what a derivative reads stops at a block whose template's
+        # outputs read no input (a co-simulation proxy)
+        assert TEMPLATE_VERSION == "7"
         assert "static void out_minor(const nx_ctx *c, double t, int full)" in tu
         assert "    integrate(c, t, i == n - 1);" in tu
         for sym in ("nx_ctx", "nx_run"):
